@@ -160,10 +160,12 @@ def _cmd_eliminate(args) -> int:
     f = parse_formula(text, level="L2")
     result, trace = eliminate_quantifiers(_LOGICS[args.logic], f)
     if args.format == "json":
+        memo: dict = {}  # the trace's formulas share subformulas
         obj = {
-            "result": formula_to_obj(result),
+            "result": formula_to_obj(result, memo),
             "trace": [
-                {"var": v, "before": formula_to_obj(b), "after": formula_to_obj(a)}
+                {"var": v, "before": formula_to_obj(b, memo),
+                 "after": formula_to_obj(a, memo)}
                 for v, b, a in trace.steps
             ],
         }

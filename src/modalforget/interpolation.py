@@ -12,12 +12,18 @@ critical stage; when nothing at all remains the result is bottom.
 The disjunct order is fixed (succedent atoms, antecedent atoms, diamonds,
 boxes, each group in canonical formula order) and duplicates are kept, so
 outputs are reproducible syntactically, not merely up to equivalence.
+
+The tables reach the same sub-sequent along many branches, so each top-level
+call memoizes its table entries and drops the memo when it returns.  The
+result is a shared DAG: interning makes it the same object the unmemoized
+tree would be.  The well-order audit runs on every table edge, memo hits
+included, and the vocabulary check on every entry computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .calculus import Logic, prove
 from .syntax import (
@@ -29,6 +35,11 @@ from .syntax import (
 AUDIT = {"table_calls_checked": 0}
 
 _BOT = bot()
+
+
+# Per-call table memos: (gamma, delta) and (store, gamma, delta) -> entry.
+_KKDMemo = Dict[Tuple[Multiset, Multiset], Formula]
+_TMemo = Dict[Tuple[Multiset, Multiset, Multiset], Formula]
 
 
 def _audit_call(parent, child) -> None:
@@ -54,8 +65,11 @@ def _first_compound(ms: Multiset) -> Optional[Formula]:
 
 
 def _vocabulary_check(result: Formula, p: str, parts: Sequence[Multiset]) -> Formula:
-    allowed = frozenset().union(*(f.free_vars for ms in parts for f in ms)) - {p}
-    if not result.free_vars <= allowed:
+    used = result.free_vars
+    if not used:  # a variable-free entry needs no check
+        return result
+    allowed = frozenset().union(*(f.free_vars for ms in parts for f in ms.counts)) - {p}
+    if not used <= allowed:
         raise AssertionError(
             f"interpolant {result!r} uses variables outside {sorted(allowed)}"
         )
@@ -70,20 +84,25 @@ def forget_kkd(p: str, gamma: Multiset, delta: Multiset) -> Formula:
     and never mentions ``p``.
     """
     _check_first_order(list(gamma) + list(delta))
-    return _forget_kkd(p, gamma, delta, None)
+    return _forget_kkd(p, gamma, delta, None, {})
 
 
 def _forget_kkd(p: str, gamma: Multiset, delta: Multiset,
-                parent_weight: Optional[int]) -> Formula:
-    result = _forget_kkd_step(p, gamma, delta, parent_weight)
-    return _vocabulary_check(result, p, (gamma, delta))
-
-
-def _forget_kkd_step(p: str, gamma: Multiset, delta: Multiset,
-                     parent_weight: Optional[int]) -> Formula:
+                parent_weight: Optional[int], memo: _KKDMemo) -> Formula:
     w = gamma.weight() + delta.weight()
     if parent_weight is not None:
         _audit_call(parent_weight, w)
+    key = (gamma, delta)
+    result = memo.get(key)
+    if result is None:
+        result = _vocabulary_check(_forget_kkd_step(p, gamma, delta, w, memo),
+                                   p, (gamma, delta))
+        memo[key] = result
+    return result
+
+
+def _forget_kkd_step(p: str, gamma: Multiset, delta: Multiset, w: int,
+                     memo: _KKDMemo) -> Formula:
     pv = var(p)
     if pv in gamma and pv in delta:
         return top()
@@ -91,7 +110,7 @@ def _forget_kkd_step(p: str, gamma: Multiset, delta: Multiset,
         return top()
 
     def rec(g: Multiset, d: Multiset) -> Formula:
-        return _forget_kkd(p, g, d, w)
+        return _forget_kkd(p, g, d, w, memo)
 
     f = _first_compound(gamma)
     if f is not None:
@@ -130,7 +149,7 @@ def _forget_kkd_step(p: str, gamma: Multiset, delta: Multiset,
 
 
 def _t_measure(store: Multiset, gamma: Multiset, delta: Multiset) -> Tuple[int, int]:
-    b = box_count(list(store) + list(gamma) + list(delta))
+    b = box_count([*store.counts, *gamma.counts, *delta.counts])
     return (b, gamma.weight() + delta.weight())
 
 
@@ -146,20 +165,25 @@ def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formu
     for f in store:
         if not f.is_box:
             raise ValueError(f"store member {f!r} is not outermost-boxed")
-    return _forget_t(p, store, gamma, delta, None)
+    return _forget_t(p, store, gamma, delta, None, {})
 
 
 def _forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset,
-              parent_measure: Optional[Tuple[int, int]]) -> Formula:
-    result = _forget_t_step(p, store, gamma, delta, parent_measure)
-    return _vocabulary_check(result, p, (store, gamma, delta))
-
-
-def _forget_t_step(p: str, store: Multiset, gamma: Multiset, delta: Multiset,
-                   parent_measure: Optional[Tuple[int, int]]) -> Formula:
+              parent_measure: Optional[Tuple[int, int]], memo: _TMemo) -> Formula:
     m = _t_measure(store, gamma, delta)
     if parent_measure is not None:
         _audit_call(parent_measure, m)
+    key = (store, gamma, delta)
+    result = memo.get(key)
+    if result is None:
+        result = _vocabulary_check(_forget_t_step(p, store, gamma, delta, m, memo),
+                                   p, (store, gamma, delta))
+        memo[key] = result
+    return result
+
+
+def _forget_t_step(p: str, store: Multiset, gamma: Multiset, delta: Multiset,
+                   m: Tuple[int, int], memo: _TMemo) -> Formula:
     pv = var(p)
     if pv in gamma and pv in delta:
         return top()
@@ -167,7 +191,7 @@ def _forget_t_step(p: str, store: Multiset, gamma: Multiset, delta: Multiset,
         return top()
 
     def rec(s: Multiset, g: Multiset, d: Multiset) -> Formula:
-        return _forget_t(p, s, g, d, m)
+        return _forget_t(p, s, g, d, m, memo)
 
     f = _first_compound(gamma)
     if f is not None:

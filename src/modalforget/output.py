@@ -11,7 +11,7 @@ presentation-only (bussproofs) and carries no stability guarantee.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from .syntax import (
     _AND, _BOT, _BOX, _FORALL, _IMP, _NEG, _OR, _VAR,
@@ -52,23 +52,43 @@ def formula_to_text(f: Formula) -> str:
     return _text(f, _PREC_IMP)
 
 
-def formula_to_obj(f: Formula) -> Dict[str, Any]:
+_ObjMemo = Dict[int, Dict[str, Any]]
+
+
+def formula_to_obj(f: Formula, memo: Optional[_ObjMemo] = None) -> Dict[str, Any]:
+    """The nested ``{"op": ...}`` object of ``f``, built once per distinct node.
+
+    Shared subformulas (interning makes equal ones one object) map to the
+    *same* dict, so the result is as small in memory as the formula DAG;
+    ``json.dumps`` still writes the expanded tree.  ``memo`` maps node ids to
+    their dicts: one per call, or one the caller passes to share nodes across
+    calls while the formulas are alive.  Callers must not mutate the result
+    or its parts.
+    """
+    if memo is None:
+        memo = {}
+    obj = memo.get(id(f))
+    if obj is not None:
+        return obj
     tag = f.tag
     if tag == _VAR:
-        return {"op": "var", "name": f.name}
-    if tag == _BOT:
-        return {"op": "bot"}
-    if tag == _NEG:
-        return {"op": "neg", "sub": formula_to_obj(f.sub)}
-    if tag == _BOX:
-        return {"op": "box", "agent": f.agent, "sub": formula_to_obj(f.sub)}
-    if tag == _AND:
-        return {"op": "and", "left": formula_to_obj(f.left), "right": formula_to_obj(f.right)}
-    if tag == _OR:
-        return {"op": "or", "left": formula_to_obj(f.left), "right": formula_to_obj(f.right)}
-    if tag == _IMP:
-        return {"op": "imp", "left": formula_to_obj(f.left), "right": formula_to_obj(f.right)}
-    return {"op": "forall", "var": f.var, "sub": formula_to_obj(f.sub)}
+        obj = {"op": "var", "name": f.name}
+    elif tag == _BOT:
+        obj = {"op": "bot"}
+    elif tag == _NEG:
+        obj = {"op": "neg", "sub": formula_to_obj(f.sub, memo)}
+    elif tag == _BOX:
+        obj = {"op": "box", "agent": f.agent, "sub": formula_to_obj(f.sub, memo)}
+    elif tag == _FORALL:
+        obj = {"op": "forall", "var": f.var, "sub": formula_to_obj(f.sub, memo)}
+    else:
+        obj = {"op": _JSON_BIN[tag], "left": formula_to_obj(f.left, memo),
+               "right": formula_to_obj(f.right, memo)}
+    memo[id(f)] = obj
+    return obj
+
+
+_JSON_BIN = {_AND: "and", _OR: "or", _IMP: "imp"}
 
 
 _LATEX_BIN = {_AND: r"\wedge", _OR: r"\vee", _IMP: r"\rightarrow"}
@@ -111,13 +131,16 @@ def sequent_to_text(s) -> str:
     return body
 
 
-def sequent_to_obj(s) -> Dict[str, Any]:
+def sequent_to_obj(s, memo: Optional[_ObjMemo] = None) -> Dict[str, Any]:
+    """The ``{"ant", "suc"[, "store"]}`` object; formulas as in ``formula_to_obj``."""
+    if memo is None:
+        memo = {}
     obj: Dict[str, Any] = {
-        "ant": [formula_to_obj(f) for f in s.ant.members()],
-        "suc": [formula_to_obj(f) for f in s.suc.members()],
+        "ant": [formula_to_obj(f, memo) for f in s.ant.members()],
+        "suc": [formula_to_obj(f, memo) for f in s.suc.members()],
     }
     if isinstance(s, TSequent):
-        obj["store"] = [formula_to_obj(f) for f in s.store.members()]
+        obj["store"] = [formula_to_obj(f, memo) for f in s.store.members()]
     return obj
 
 
@@ -136,11 +159,11 @@ def _derivation_to_text(d, indent: int) -> str:
     return "\n".join([line] + [_derivation_to_text(p, indent + 1) for p in d.premises])
 
 
-def _derivation_to_obj(d) -> Dict[str, Any]:
+def _derivation_to_obj(d, memo: _ObjMemo) -> Dict[str, Any]:
     return {
-        "sequent": sequent_to_obj(d.conclusion),
+        "sequent": sequent_to_obj(d.conclusion, memo),
         "rule": d.rule,
-        "premises": [_derivation_to_obj(p) for p in d.premises],
+        "premises": [_derivation_to_obj(p, memo) for p in d.premises],
     }
 
 
@@ -215,7 +238,7 @@ def render(value, format: str = "text") -> str:
         if format == "text":
             return _derivation_to_text(value, 0)
         if format == "json":
-            obj = _derivation_to_obj(value)
+            obj = _derivation_to_obj(value, {})
             obj["schema"] = "derivation/1"
             return json.dumps(obj, sort_keys=True)
         return _derivation_to_latex(value)

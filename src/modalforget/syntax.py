@@ -3,9 +3,10 @@
 Formulas are immutable trees.  Diamond, top and the existential quantifier are
 not node types: they are rewritten away at construction time (``<i>A`` becomes
 ``~[i]~A``, ``true`` becomes ``~false``, ``exists p.A`` becomes
-``~forall p.~A``).  Every node carries a precomputed structural key, so
-equality, hashing and the canonical ordering used for multiset iteration are
-cheap tuple operations.
+``~forall p.~A``).  Every node carries a precomputed structural key, which
+gives equality and the canonical ordering used for multiset iteration, and a
+hash built from its children's hashes, so shared subformulas are never
+rehashed.
 """
 
 from __future__ import annotations
@@ -57,21 +58,28 @@ class Formula:
         self.right = right
         self.sub = sub
         self.var = var
+        # The hash combines the children's cached hashes, so it costs O(1) per
+        # node; hashing ``key`` itself would walk the whole tree.
         if tag == _BOT:
             self.key = (_BOT,)
+            self._hash = hash(self.key)
         elif tag == _VAR:
             self.key = (_VAR, name)
+            self._hash = hash(self.key)
         elif tag == _NEG:
             self.key = (_NEG, sub.key)
+            self._hash = hash((_NEG, sub._hash))
         elif tag == _BOX:
             self.key = (_BOX, agent, sub.key)
+            self._hash = hash((_BOX, agent, sub._hash))
         elif tag in _BINARY_TAGS:
             self.key = (tag, left.key, right.key)
+            self._hash = hash((tag, left._hash, right._hash))
         elif tag == _FORALL:
             self.key = (_FORALL, var, sub.key)
+            self._hash = hash((_FORALL, var, sub._hash))
         else:  # pragma: no cover
             raise ValueError(f"unknown tag {tag!r}")
-        self._hash = hash(self.key)
         if tag in (_BOT, _VAR):
             self.weight: Optional[int] = 1
             self.free_vars: FrozenSet[str] = (
