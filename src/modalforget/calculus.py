@@ -1,11 +1,20 @@
 """Backward proof search for the three multi-agent calculi.
 
-``prove`` decides K and KD sequents directly and routes KT through the
-loop-free T-sequent calculus (``prove_tplus``); the two are equipollent, so
-the verdict is exact.  ``naive_kt_prove`` runs the plain KT calculus with the
-looping reflexivity rule under a height bound and is only a one-sided oracle.
+The eight invertible propositional rules are written once, as data
+(``PROPOSITIONAL_RULES``): a label, a principal side, a main connective and
+the premise shapes.  The proof search, the naive KT oracle,
+``check_derivation`` and the forgetting table all decompose through it.
 
-Every explored search edge is audited against the applicable well-order
+One search serves all three logics.  ``prove`` decides K and KD sequents
+directly and routes KT through the loop-free T-sequent calculus
+(``prove_tplus``); the two are equipollent, so the verdict is exact.  The KT
+calculus is the K calculus plus one eager rule, BoxTPlus, which unfolds an
+antecedent box into the store; the succedent-box rule then takes its boxes
+from the store for KT and from the antecedent for K/KD, and BoxD runs for KD
+only.  ``naive_kt_prove`` runs the plain KT calculus with the looping
+reflexivity rule under a height bound and is only a one-sided oracle.
+
+Every explored search edge is audited against the sequent's ``measure()``
 (weight for K/KD, boxed-count/weight lexicographic for T-sequents); a
 violation raises immediately, and the number of audited edges is kept in
 ``AUDIT`` so test suites can confirm the audit was exercised.
@@ -20,8 +29,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .syntax import (
     _AND, _IMP, _NEG, _OR, _VAR,
-    Formula, Multiset, NotFirstOrderError, Sequent, TSequent,
-    bot, box_agents, flats,
+    Formula, Multiset, Sequent, TSequent,
+    bot, box_agents, flats, require_first_order,
 )
 
 # Proof search on machine-generated interpolants can decompose rather deep
@@ -101,56 +110,77 @@ def _init_derivation(s) -> Optional[Derivation]:
     return None
 
 
-def _first_compound(ms: Multiset) -> Optional[Formula]:
-    for f in ms:
-        if f.tag in (_NEG, _AND, _OR, _IMP):
-            return f
-    return None
+# The eight invertible propositional rules, keyed by principal side and main
+# connective: the label, and the premises as (antecedent, succedent) pairs
+# built from the conclusion's sides with the principal formula removed.
+PROPOSITIONAL_RULES = {
+    ("ant", _NEG): ("LNeg", lambda f, a, s: ((a, s.add(f.sub)),)),
+    ("ant", _AND): ("LAnd", lambda f, a, s: ((a.add(f.left).add(f.right), s),)),
+    ("ant", _OR): ("LOr", lambda f, a, s: ((a.add(f.left), s), (a.add(f.right), s))),
+    ("ant", _IMP): ("LImp", lambda f, a, s: ((a, s.add(f.left)), (a.add(f.right), s))),
+    ("suc", _NEG): ("RNeg", lambda f, a, s: ((a.add(f.sub), s),)),
+    ("suc", _AND): ("RAnd", lambda f, a, s: ((a, s.add(f.left)), (a, s.add(f.right)))),
+    ("suc", _OR): ("ROr", lambda f, a, s: ((a, s.add(f.left).add(f.right)),)),
+    ("suc", _IMP): ("RImp", lambda f, a, s: ((a.add(f.left), s.add(f.right)),)),
+}
+_RULE_SHAPE = {label: shape for shape, (label, _) in PROPOSITIONAL_RULES.items()}
 
 
-def _propositional_step(s, make):
-    """The one eagerly applied invertible rule at ``s``, if any.
+def premise_sides(side: str, f: Formula, ant: Multiset, suc: Multiset):
+    """The premises of the invertible rule with principal ``f`` on ``side`` of
+    ``ant => suc``, as (antecedent, succedent) pairs."""
+    premises = PROPOSITIONAL_RULES[side, f.tag][1]
+    if side == "ant":
+        return premises(f, ant.remove(f), suc)
+    return premises(f, ant, suc.remove(f))
 
-    ``make(ant, suc)`` builds a premise sequent of the right shape (closing
-    over the store for T-sequents); returns ``(rule, principal, premises)``
-    or ``None``.
+
+def invertible_step(s):
+    """The propositional rule that backward search applies eagerly to ``s``.
+
+    Its principal is the first compound formula of the antecedent, else of
+    the succedent, in canonical order.  Returns ``(label, side, principal,
+    premises)`` with the premises as sequents of the same kind as ``s``, or
+    ``None`` when ``s`` has no compound formula left.
     """
-    f = _first_compound(s.ant)
-    if f is not None:
-        rest = s.ant.remove(f)
-        if f.tag == _NEG:
-            return "LNeg", (("ant", f),), [make(rest, s.suc.add(f.sub))]
-        if f.tag == _AND:
-            return "LAnd", (("ant", f),), [make(rest.add(f.left).add(f.right), s.suc)]
-        if f.tag == _OR:
-            return "LOr", (("ant", f),), [make(rest.add(f.left), s.suc),
-                                          make(rest.add(f.right), s.suc)]
-        return "LImp", (("ant", f),), [make(rest, s.suc.add(f.left)),
-                                       make(rest.add(f.right), s.suc)]
-    f = _first_compound(s.suc)
-    if f is not None:
-        rest = s.suc.remove(f)
-        if f.tag == _NEG:
-            return "RNeg", (("suc", f),), [make(s.ant.add(f.sub), rest)]
-        if f.tag == _AND:
-            return "RAnd", (("suc", f),), [make(s.ant, rest.add(f.left)),
-                                           make(s.ant, rest.add(f.right))]
-        if f.tag == _OR:
-            return "ROr", (("suc", f),), [make(s.ant, rest.add(f.left).add(f.right))]
-        return "RImp", (("suc", f),), [make(s.ant.add(f.left), rest.add(f.right))]
+    for side in ("ant", "suc"):
+        for f in getattr(s, side):
+            rule = PROPOSITIONAL_RULES.get((side, f.tag))
+            if rule is not None:
+                return rule[0], side, f, [s.with_sides(a, b) for a, b
+                                          in premise_sides(side, f, s.ant, s.suc)]
     return None
 
 
-class _KKDSearch:
-    """Exhaustive backward search in G(K_n) or G(KD_n)."""
+def box_source(s) -> Multiset:
+    """Where the modal rules read antecedent boxes: the store of a T-sequent
+    (its antecedent boxes were unfolded into it), else the antecedent."""
+    return s.store if isinstance(s, TSequent) else s.ant
+
+
+def modal_premise(s, ant: Multiset, suc: Multiset):
+    """A premise of a modal rule below ``s``; a T-sequent's store restarts empty."""
+    if isinstance(s, TSequent):
+        return TSequent(Multiset(), ant, suc)
+    return Sequent(ant, suc)
+
+
+def unfold_box(t: TSequent, f: Formula) -> TSequent:
+    """The BoxTPlus premise: the antecedent box ``f`` moves into the store."""
+    return TSequent(t.store.add(f), t.ant.remove(f).add(f.sub), t.suc)
+
+
+class _Search:
+    """Exhaustive backward search in G(K_n), G(KD_n) or, on T-sequents, the
+    loop-free KT calculus."""
 
     def __init__(self, logic: Logic):
         self.logic = logic
-        self.memo: Dict[Sequent, Optional[Derivation]] = {}
+        self.memo: Dict[Union[Sequent, TSequent], Optional[Derivation]] = {}
         self.nodes = 0
         self.max_depth = 0
 
-    def run(self, s: Sequent, depth: int = 0) -> Optional[Derivation]:
+    def run(self, s, depth: int = 0) -> Optional[Derivation]:
         if depth > self.max_depth:
             self.max_depth = depth
         if s in self.memo:
@@ -160,106 +190,55 @@ class _KKDSearch:
         self.memo[s] = d
         return d
 
-    def _child(self, parent_weight: int, s: Sequent, depth: int) -> Optional[Derivation]:
-        _audit_edge(parent_weight, s.weight())
+    def _child(self, parent_measure, s, depth: int) -> Optional[Derivation]:
+        _audit_edge(parent_measure, s.measure())
         return self.run(s, depth + 1)
 
-    def _derive(self, s: Sequent, depth: int) -> Optional[Derivation]:
+    def _derive(self, s, depth: int) -> Optional[Derivation]:
         d = _init_derivation(s)
         if d is not None:
             return d
-        w = s.weight()
-        step = _propositional_step(s, Sequent)
+        m = s.measure()
+        step = invertible_step(s)
         if step is not None:
-            rule, principal, premises = step
-            subs = []
-            for p in premises:
-                sub = self._child(w, p, depth)
-                if sub is None:
-                    return None
-                subs.append(sub)
-            return Derivation(s, rule, principal, tuple(subs))
-        # Critical sequent: branch disjunctively over modal rule instances.
-        for f in s.suc:
-            if f.is_box:
-                premise = Sequent(flats(s.ant, f.agent), Multiset((f.sub,)))
-                sub = self._child(w, premise, depth)
-                if sub is not None:
-                    return Derivation(s, "BoxK", (("suc", f),), (sub,))
-        if self.logic is Logic.KD:
-            for agent in box_agents(s.ant):
-                body = flats(s.ant, agent)
-                if body:
-                    premise = Sequent(body, Multiset())
-                    sub = self._child(w, premise, depth)
-                    if sub is not None:
-                        principal = tuple(
-                            ("ant", g) for g in s.ant if g.is_box and g.agent == agent
-                        )
-                        return Derivation(s, "BoxD", principal, (sub,))
-        return None
-
-
-class _TPlusSearch:
-    """Exhaustive backward search in the loop-free T-sequent calculus."""
-
-    def __init__(self):
-        self.memo: Dict[TSequent, Optional[Derivation]] = {}
-        self.nodes = 0
-        self.max_depth = 0
-
-    def run(self, t: TSequent, depth: int = 0) -> Optional[Derivation]:
-        if depth > self.max_depth:
-            self.max_depth = depth
-        if t in self.memo:
-            return self.memo[t]
-        self.nodes += 1
-        d = self._derive(t, depth)
-        self.memo[t] = d
-        return d
-
-    def _child(self, parent_measure, t: TSequent, depth: int) -> Optional[Derivation]:
-        _audit_edge(parent_measure, t.measure())
-        return self.run(t, depth + 1)
-
-    def _derive(self, t: TSequent, depth: int) -> Optional[Derivation]:
-        d = _init_derivation(t)
-        if d is not None:
-            return d
-        m = t.measure()
-        step = _propositional_step(t, lambda ant, suc: TSequent(t.store, ant, suc))
-        if step is not None:
-            rule, principal, premises = step
+            rule, side, f, premises = step
             subs = []
             for p in premises:
                 sub = self._child(m, p, depth)
                 if sub is None:
                     return None
                 subs.append(sub)
-            return Derivation(t, rule, principal, tuple(subs))
-        # Move boxed antecedent formulas into the store; invertible, so eager.
-        for f in t.ant:
+            return Derivation(s, rule, ((side, f),), tuple(subs))
+        kt = self.logic is Logic.KT
+        if kt:
+            # Move boxed antecedent formulas into the store; invertible, so eager.
+            for f in s.ant:
+                if f.is_box:
+                    sub = self._child(m, unfold_box(s, f), depth)
+                    if sub is None:
+                        return None
+                    return Derivation(s, "BoxTPlus", (("ant", f),), (sub,))
+        # Critical sequent: branch disjunctively over modal rule instances.
+        boxes = box_source(s)
+        for f in s.suc:
             if f.is_box:
-                premise = TSequent(t.store.add(f), t.ant.remove(f).add(f.sub), t.suc)
-                sub = self._child(m, premise, depth)
-                if sub is None:
-                    return None
-                return Derivation(t, "BoxTPlus", (("ant", f),), (sub,))
-        # Antecedent holds only variables: branch over succedent boxes.
-        for f in t.suc:
-            if f.is_box:
-                premise = TSequent(Multiset(), flats(t.store, f.agent),
-                                   Multiset((f.sub,)))
+                premise = modal_premise(s, flats(boxes, f.agent), Multiset((f.sub,)))
                 sub = self._child(m, premise, depth)
                 if sub is not None:
-                    return Derivation(t, "BoxKPlus", (("suc", f),), (sub,))
+                    return Derivation(s, "BoxKPlus" if kt else "BoxK",
+                                      (("suc", f),), (sub,))
+        if self.logic is Logic.KD:
+            for agent in box_agents(s.ant):
+                body = flats(s.ant, agent)
+                if body:
+                    premise = Sequent(body, Multiset())
+                    sub = self._child(m, premise, depth)
+                    if sub is not None:
+                        principal = tuple(
+                            ("ant", g) for g in s.ant if g.is_box and g.agent == agent
+                        )
+                        return Derivation(s, "BoxD", principal, (sub,))
         return None
-
-
-def _require_first_order(s: Sequent) -> None:
-    for f in s.formulas():
-        if not f.is_quantifier_free:
-            raise NotFirstOrderError(f"quantified formula in sequent: {f!r}")
 
 
 def prove(logic: Logic, s: Sequent) -> ProofResult:
@@ -269,21 +248,20 @@ def prove(logic: Logic, s: Sequent) -> ProofResult:
     ``| Γ => Δ`` with an empty store, which derives exactly the KT-derivable
     sequents; the returned derivation is then a T-sequent derivation.
     """
-    _require_first_order(s)
     if logic is Logic.KT:
         return prove_tplus(TSequent(Multiset(), s.ant, s.suc))
-    search = _KKDSearch(logic)
-    d = search.run(s)
-    return ProofResult(d, SearchStats(search.nodes, search.max_depth))
+    return _search(logic, s)
 
 
 def prove_tplus(t: TSequent) -> ProofResult:
     """Decide derivability of a T-sequent in the loop-free calculus."""
-    for f in list(t.store) + list(t.ant) + list(t.suc):
-        if not f.is_quantifier_free:
-            raise NotFirstOrderError(f"quantified formula in sequent: {f!r}")
-    search = _TPlusSearch()
-    d = search.run(t)
+    return _search(Logic.KT, t)
+
+
+def _search(logic: Logic, s) -> ProofResult:
+    require_first_order(s.formulas())
+    search = _Search(logic)
+    d = search.run(s)
     return ProofResult(d, SearchStats(search.nodes, search.max_depth))
 
 
@@ -350,16 +328,16 @@ class _NaiveKTSearch:
 
     def _derive(self, s: Sequent, bound: int,
                 depth: int) -> Tuple[Optional[Derivation], bool]:
-        step = _propositional_step(s, Sequent)
+        step = invertible_step(s)
         if step is not None:
-            rule, principal, premises = step
+            rule, side, f, premises = step
             subs = []
             for p in premises:
                 sub, pruned = self.run(p, bound - 1, depth + 1)
                 if sub is None:
                     return None, pruned
                 subs.append(sub)
-            return Derivation(s, rule, principal, tuple(subs)), False
+            return Derivation(s, rule, ((side, f),), tuple(subs)), False
         any_pruned = False
         for f in s.ant:
             if f.is_box:
@@ -388,7 +366,7 @@ def naive_kt_prove(s: Sequent, depth_bound: int) -> NaiveResult:
     """
     if depth_bound < 1:
         raise ValueError("depth_bound must be at least 1")
-    _require_first_order(s)
+    require_first_order(s.formulas())
     search = _NaiveKTSearch()
     d, _ = search.run(s, depth_bound)
     return NaiveResult(d is not None, d, SearchStats(search.nodes, search.max_depth))
@@ -402,51 +380,14 @@ class _Violation(Exception):
     pass
 
 
-def _side_ms(s, side: str) -> Multiset:
-    return s.ant if side == "ant" else s.suc
-
-
-def _check_atomic_or_boxed(ms, what: str, skip: Optional[Formula] = None,
-                           skip_once: bool = False):
-    seen_skip = False
+def _check_atomic_or_boxed(ms, what: str, skip: Optional[Formula] = None):
+    """Every member of ``ms`` but one occurrence of ``skip`` is atomic or boxed."""
     for f in ms.members():
-        if skip is not None and f == skip and (not skip_once or not seen_skip):
-            seen_skip = True
+        if f == skip:
+            skip = None
             continue
         if not (f.is_atom or f.is_box):
             raise _Violation(f"{what} contains the non-atomic, non-boxed {f!r}")
-
-
-def _expected_propositional(s, rule: str, principal: Principal, make):
-    side = "ant" if rule[0] == "L" else "suc"
-    f = _principal_formula_from(principal, side, rule)
-    ms = _side_ms(s, side)
-    if f not in ms:
-        raise _Violation(f"{rule}: principal {f!r} missing from the {side} side")
-    rest = ms.remove(f)
-    if rule == "LNeg":
-        _want(f, _NEG, rule)
-        return [make(rest, s.suc.add(f.sub))]
-    if rule == "RNeg":
-        _want(f, _NEG, rule)
-        return [make(s.ant.add(f.sub), rest)]
-    if rule == "LAnd":
-        _want(f, _AND, rule)
-        return [make(rest.add(f.left).add(f.right), s.suc)]
-    if rule == "RAnd":
-        _want(f, _AND, rule)
-        return [make(s.ant, rest.add(f.left)), make(s.ant, rest.add(f.right))]
-    if rule == "LOr":
-        _want(f, _OR, rule)
-        return [make(rest.add(f.left), s.suc), make(rest.add(f.right), s.suc)]
-    if rule == "ROr":
-        _want(f, _OR, rule)
-        return [make(s.ant, rest.add(f.left).add(f.right))]
-    if rule == "LImp":
-        _want(f, _IMP, rule)
-        return [make(rest, s.suc.add(f.left)), make(rest.add(f.right), s.suc)]
-    _want(f, _IMP, rule)
-    return [make(s.ant.add(f.left), rest.add(f.right))]
 
 
 def _principal_formula_from(principal: Principal, side: str, rule: str) -> Formula:
@@ -456,12 +397,12 @@ def _principal_formula_from(principal: Principal, side: str, rule: str) -> Formu
     raise _Violation(f"{rule}: no principal formula recorded on the {side} side")
 
 
-def _want(f: Formula, tag: int, rule: str) -> None:
-    if f.tag != tag:
-        raise _Violation(f"{rule}: principal {f!r} has the wrong main connective")
-
-
-_PROPOSITIONAL = {"LNeg", "RNeg", "LAnd", "RAnd", "LOr", "ROr", "LImp", "RImp"}
+def _boxed_principal(d: Derivation, side: str) -> Formula:
+    f = _principal_formula_from(d.principal, side, d.rule)
+    if not f.is_box or f not in getattr(d.conclusion, side):
+        what = "antecedent" if side == "ant" else "succedent"
+        raise _Violation(f"{d.rule}: principal is not a boxed {what} formula")
+    return f
 
 
 def _expected_premises(logic: Logic, d: Derivation) -> List:
@@ -479,24 +420,25 @@ def _expected_premises(logic: Logic, d: Derivation) -> List:
         if _BOT not in s.ant:
             raise _Violation("InitBot: no bottom in the antecedent")
         return []
-    if rule in _PROPOSITIONAL:
-        make = (lambda ant, suc: TSequent(s.store, ant, suc)) if is_t else Sequent
-        return _expected_propositional(s, rule, d.principal, make)
+    if rule in _RULE_SHAPE:
+        side, tag = _RULE_SHAPE[rule]
+        f = _principal_formula_from(d.principal, side, rule)
+        if f not in getattr(s, side):
+            raise _Violation(f"{rule}: principal {f!r} missing from the {side} side")
+        if f.tag != tag:
+            raise _Violation(f"{rule}: principal {f!r} has the wrong main connective")
+        return [s.with_sides(a, b) for a, b in premise_sides(side, f, s.ant, s.suc)]
     if rule == "BoxK":
         if is_t:
             raise _Violation("BoxK is not a T-sequent rule")
-        f = _principal_formula_from(d.principal, "suc", rule)
-        if not f.is_box or f not in s.suc:
-            raise _Violation("BoxK: principal is not a boxed succedent formula")
+        f = _boxed_principal(d, "suc")
         _check_atomic_or_boxed(s.ant, "BoxK context Σ, □Γ")
-        _check_atomic_or_boxed(s.suc, "BoxK context Ω", skip=f, skip_once=True)
+        _check_atomic_or_boxed(s.suc, "BoxK context Ω", skip=f)
         return [Sequent(flats(s.ant, f.agent), Multiset((f.sub,)))]
     if rule == "BoxD":
         if is_t or logic is not Logic.KD:
             raise _Violation("BoxD is only available in KD sequent derivations")
-        f = _principal_formula_from(d.principal, "ant", rule)
-        if not f.is_box or f not in s.ant:
-            raise _Violation("BoxD: principal is not a boxed antecedent formula")
+        f = _boxed_principal(d, "ant")
         body = flats(s.ant, f.agent)
         if not body:
             raise _Violation("BoxD: premise antecedent is empty (Γ ≠ ∅ violated)")
@@ -506,27 +448,21 @@ def _expected_premises(logic: Logic, d: Derivation) -> List:
     if rule == "BoxT":
         if is_t or logic is not Logic.KT:
             raise _Violation("BoxT is only available in plain KT derivations")
-        f = _principal_formula_from(d.principal, "ant", rule)
-        if not f.is_box or f not in s.ant:
-            raise _Violation("BoxT: principal is not a boxed antecedent formula")
+        f = _boxed_principal(d, "ant")
         return [Sequent(s.ant.add(f.sub), s.suc)]
     if rule == "BoxTPlus":
         if not is_t:
             raise _Violation("BoxTPlus requires a T-sequent")
-        f = _principal_formula_from(d.principal, "ant", rule)
-        if not f.is_box or f not in s.ant:
-            raise _Violation("BoxTPlus: principal is not a boxed antecedent formula")
-        return [TSequent(s.store.add(f), s.ant.remove(f).add(f.sub), s.suc)]
+        f = _boxed_principal(d, "ant")
+        return [unfold_box(s, f)]
     if rule == "BoxKPlus":
         if not is_t:
             raise _Violation("BoxKPlus requires a T-sequent")
-        f = _principal_formula_from(d.principal, "suc", rule)
-        if not f.is_box or f not in s.suc:
-            raise _Violation("BoxKPlus: principal is not a boxed succedent formula")
+        f = _boxed_principal(d, "suc")
         for g in s.ant.members():
             if not g.is_atom:
                 raise _Violation(f"BoxKPlus: Π contains the non-atomic {g!r}")
-        _check_atomic_or_boxed(s.suc, "BoxKPlus context Ω", skip=f, skip_once=True)
+        _check_atomic_or_boxed(s.suc, "BoxKPlus context Ω", skip=f)
         return [TSequent(Multiset(), flats(s.store, f.agent), Multiset((f.sub,)))]
     raise _Violation(f"unknown rule label {rule!r}")
 

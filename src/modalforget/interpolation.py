@@ -1,13 +1,17 @@
 """Syntactic uniform interpolation: forgetting a propositional variable.
 
-``forget_kkd`` executes the eleven-line rewrite table shared by K and KD;
-``forget_t`` executes the twelve-line table whose extra line mirrors the
-reflexivity rule of the loop-free KT calculus.  Both tables decompose the
-sequent like backward proof search until it is critical, then emit one big
-disjunction: succedent atoms, negated antecedent atoms, one diamond per
-antecedent (resp. store) box occurrence and one box per succedent box
-occurrence.  Occurrences of the forgotten variable itself are dropped at the
-critical stage; when nothing at all remains the result is bottom.
+One store-aware table serves all three logics.  ``forget_kkd`` runs it on a
+plain sequent for K and KD (the store stays empty and calls are measured by
+weight); ``forget_t`` runs it on a T-sequent for KT, which adds one line
+unfolding an antecedent box into the store, as the reflexivity rule of the
+loop-free KT calculus does.  The table decomposes the sequent through the
+propositional rule table of :mod:`calculus`, conjoining the entries of a
+two-premise rule, until the sequent is critical, then emits one big
+disjunction: succedent atoms, negated antecedent atoms, one diamond per box
+of the box source (the antecedent for K/KD, the store for KT) and one box
+per succedent box occurrence.  Occurrences of the forgotten variable itself
+are dropped at the critical stage; when nothing at all remains the result is
+bottom.
 
 The disjunct order is fixed (succedent atoms, antecedent atoms, diamonds,
 boxes, each group in canonical formula order) and duplicates are kept, so
@@ -23,13 +27,15 @@ included, and the vocabulary check on every entry computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .calculus import Logic, prove
+from .calculus import (
+    Logic, box_source, invertible_step, modal_premise, prove, unfold_box,
+)
 from .syntax import (
-    _AND, _IMP, _NEG, _OR,
-    Formula, Multiset, NotFirstOrderError, Sequent,
-    and_, big_or, bot, box, box_count, diamond, flats, imp, neg, or_, top, var,
+    Formula, Multiset, Sequent, TSequent,
+    and_, big_or, bot, box, diamond, flats, imp, neg, or_, require_first_order,
+    top, var,
 )
 
 AUDIT = {"table_calls_checked": 0}
@@ -37,9 +43,8 @@ AUDIT = {"table_calls_checked": 0}
 _BOT = bot()
 
 
-# Per-call table memos: (gamma, delta) and (store, gamma, delta) -> entry.
-_KKDMemo = Dict[Tuple[Multiset, Multiset], Formula]
-_TMemo = Dict[Tuple[Multiset, Multiset, Multiset], Formula]
+# Per-call table memo: sequent (or T-sequent) -> entry.
+_Memo = Dict[Union[Sequent, TSequent], Formula]
 
 
 def _audit_call(parent, child) -> None:
@@ -51,24 +56,11 @@ def _audit_call(parent, child) -> None:
         )
 
 
-def _check_first_order(formulas: Iterable[Formula]) -> None:
-    for f in formulas:
-        if not f.is_quantifier_free:
-            raise NotFirstOrderError(f"quantified formula: {f!r}")
-
-
-def _first_compound(ms: Multiset) -> Optional[Formula]:
-    for f in ms:
-        if f.tag in (_NEG, _AND, _OR, _IMP):
-            return f
-    return None
-
-
-def _vocabulary_check(result: Formula, p: str, parts: Sequence[Multiset]) -> Formula:
+def _vocabulary_check(result: Formula, p: str, s) -> Formula:
     used = result.free_vars
     if not used:  # a variable-free entry needs no check
         return result
-    allowed = frozenset().union(*(f.free_vars for ms in parts for f in ms.counts)) - {p}
+    allowed = frozenset().union(*(f.free_vars for f in s.formulas())) - {p}
     if not used <= allowed:
         raise AssertionError(
             f"interpolant {result!r} uses variables outside {sorted(allowed)}"
@@ -83,74 +75,9 @@ def forget_kkd(p: str, gamma: Multiset, delta: Multiset) -> Formula:
     calculus differs.  The result mentions no variable outside the sequent
     and never mentions ``p``.
     """
-    _check_first_order(list(gamma) + list(delta))
-    return _forget_kkd(p, gamma, delta, None, {})
-
-
-def _forget_kkd(p: str, gamma: Multiset, delta: Multiset,
-                parent_weight: Optional[int], memo: _KKDMemo) -> Formula:
-    w = gamma.weight() + delta.weight()
-    if parent_weight is not None:
-        _audit_call(parent_weight, w)
-    key = (gamma, delta)
-    result = memo.get(key)
-    if result is None:
-        result = _vocabulary_check(_forget_kkd_step(p, gamma, delta, w, memo),
-                                   p, (gamma, delta))
-        memo[key] = result
-    return result
-
-
-def _forget_kkd_step(p: str, gamma: Multiset, delta: Multiset, w: int,
-                     memo: _KKDMemo) -> Formula:
-    pv = var(p)
-    if pv in gamma and pv in delta:
-        return top()
-    if _BOT in gamma:
-        return top()
-
-    def rec(g: Multiset, d: Multiset) -> Formula:
-        return _forget_kkd(p, g, d, w, memo)
-
-    f = _first_compound(gamma)
-    if f is not None:
-        rest = gamma.remove(f)
-        if f.tag == _NEG:
-            return rec(rest, delta.add(f.sub))
-        if f.tag == _AND:
-            return rec(rest.add(f.left).add(f.right), delta)
-        if f.tag == _OR:
-            return and_(rec(rest.add(f.left), delta), rec(rest.add(f.right), delta))
-        return and_(rec(rest, delta.add(f.left)), rec(rest.add(f.right), delta))
-    f = _first_compound(delta)
-    if f is not None:
-        rest = delta.remove(f)
-        if f.tag == _NEG:
-            return rec(gamma.add(f.sub), rest)
-        if f.tag == _AND:
-            return and_(rec(gamma, rest.add(f.left)), rec(gamma, rest.add(f.right)))
-        if f.tag == _OR:
-            return rec(gamma, rest.add(f.left).add(f.right))
-        return rec(gamma.add(f.left), rest.add(f.right))
-
-    # Critical sequent: occurrences of the forgotten variable are dropped.
-    g = gamma.remove_all(pv)
-    d = delta.remove_all(pv)
-    disjuncts: List[Formula] = [q for q in d.members() if q.is_atom]
-    disjuncts += [neg(r) for r in g.members() if r.is_atom]
-    for bf in g.members():
-        if bf.is_box:
-            disjuncts.append(diamond(bf.agent, rec(flats(g, bf.agent), Multiset())))
-    for bf in d.members():
-        if bf.is_box:
-            disjuncts.append(
-                box(bf.agent, rec(flats(g, bf.agent), Multiset((bf.sub,)))))
-    return big_or(disjuncts)
-
-
-def _t_measure(store: Multiset, gamma: Multiset, delta: Multiset) -> Tuple[int, int]:
-    b = box_count([*store.counts, *gamma.counts, *delta.counts])
-    return (b, gamma.weight() + delta.weight())
+    s = Sequent(gamma, delta)
+    require_first_order(s.formulas())
+    return _forget(p, s, None, {})
 
 
 def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formula:
@@ -159,80 +86,60 @@ def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formu
     Antecedent boxes migrate into the store (unfolding their body once, as the
     reflexivity rule does); at the critical stage the store supplies one
     diamond disjunct per member and the flats for the succedent boxes, and the
-    recursive calls restart with an empty store.
+    recursive calls restart with an empty store.  A store member that is not
+    outermost-boxed raises :class:`StoreError`.
     """
-    _check_first_order(list(store) + list(gamma) + list(delta))
-    for f in store:
-        if not f.is_box:
-            raise ValueError(f"store member {f!r} is not outermost-boxed")
-    return _forget_t(p, store, gamma, delta, None, {})
+    t = TSequent(store, gamma, delta)
+    require_first_order(t.formulas())
+    return _forget(p, t, None, {})
 
 
-def _forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset,
-              parent_measure: Optional[Tuple[int, int]], memo: _TMemo) -> Formula:
-    m = _t_measure(store, gamma, delta)
+def _forget(p: str, s, parent_measure, memo: _Memo) -> Formula:
+    m = s.measure()
     if parent_measure is not None:
         _audit_call(parent_measure, m)
-    key = (store, gamma, delta)
-    result = memo.get(key)
+    result = memo.get(s)
     if result is None:
-        result = _vocabulary_check(_forget_t_step(p, store, gamma, delta, m, memo),
-                                   p, (store, gamma, delta))
-        memo[key] = result
+        result = _vocabulary_check(_table_entry(p, s, m, memo), p, s)
+        memo[s] = result
     return result
 
 
-def _forget_t_step(p: str, store: Multiset, gamma: Multiset, delta: Multiset,
-                   m: Tuple[int, int], memo: _TMemo) -> Formula:
+def _table_entry(p: str, s, m, memo: _Memo) -> Formula:
     pv = var(p)
-    if pv in gamma and pv in delta:
+    if pv in s.ant and pv in s.suc:
         return top()
-    if _BOT in gamma:
+    if _BOT in s.ant:
         return top()
 
-    def rec(s: Multiset, g: Multiset, d: Multiset) -> Formula:
-        return _forget_t(p, s, g, d, m, memo)
+    def rec(premise) -> Formula:
+        return _forget(p, premise, m, memo)
 
-    f = _first_compound(gamma)
-    if f is not None:
-        rest = gamma.remove(f)
-        if f.tag == _NEG:
-            return rec(store, rest, delta.add(f.sub))
-        if f.tag == _AND:
-            return rec(store, rest.add(f.left).add(f.right), delta)
-        if f.tag == _OR:
-            return and_(rec(store, rest.add(f.left), delta),
-                        rec(store, rest.add(f.right), delta))
-        return and_(rec(store, rest, delta.add(f.left)),
-                    rec(store, rest.add(f.right), delta))
-    f = _first_compound(delta)
-    if f is not None:
-        rest = delta.remove(f)
-        if f.tag == _NEG:
-            return rec(store, gamma.add(f.sub), rest)
-        if f.tag == _AND:
-            return and_(rec(store, gamma, rest.add(f.left)),
-                        rec(store, gamma, rest.add(f.right)))
-        if f.tag == _OR:
-            return rec(store, gamma, rest.add(f.left).add(f.right))
-        return rec(store, gamma.add(f.left), rest.add(f.right))
-    for f in gamma:
-        if f.is_box:  # unfold into the store, as the reflexivity rule does
-            return rec(store.add(f), gamma.remove(f).add(f.sub), delta)
+    step = invertible_step(s)
+    if step is not None:
+        # A two-premise rule conjoins the interpolants of its premises.
+        entries = [rec(premise) for premise in step[3]]
+        return entries[0] if len(entries) == 1 else and_(*entries)
+    if isinstance(s, TSequent):
+        for f in s.ant:
+            if f.is_box:  # unfold into the store, as the reflexivity rule does
+                return rec(unfold_box(s, f))
 
-    g = gamma.remove_all(pv)
-    d = delta.remove_all(pv)
-    empty = Multiset()
+    # Critical sequent: occurrences of the forgotten variable are dropped.
+    g = s.ant.remove_all(pv)
+    d = s.suc.remove_all(pv)
+    boxes = box_source(s)
     disjuncts: List[Formula] = [q for q in d.members() if q.is_atom]
     disjuncts += [neg(r) for r in g.members() if r.is_atom]
-    for sf in store.members():
-        disjuncts.append(
-            diamond(sf.agent, rec(empty, flats(store, sf.agent), empty)))
+    for bf in boxes.members():
+        if bf.is_box:
+            body = flats(boxes, bf.agent)
+            disjuncts.append(diamond(bf.agent, rec(modal_premise(s, body, Multiset()))))
     for bf in d.members():
         if bf.is_box:
+            body = flats(boxes, bf.agent)
             disjuncts.append(
-                box(bf.agent, rec(empty, flats(store, bf.agent),
-                                  Multiset((bf.sub,)))))
+                box(bf.agent, rec(modal_premise(s, body, Multiset((bf.sub,))))))
     return big_or(disjuncts)
 
 

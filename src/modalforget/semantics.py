@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from .calculus import Logic
 from .syntax import (
     _AND, _BOT, _BOX, _FORALL, _IMP, _NEG, _OR, _VAR,
-    Formula, NotFirstOrderError, Sequent, neg,
+    Formula, NotFirstOrderError, Sequent, neg, require_first_order,
 )
 
 
@@ -176,22 +176,6 @@ def _realize(branch: Set[Formula], depth: int, logic: Logic,
     return _Tree(valuation, children, tuple(sink_agents))
 
 
-def _sequent_agents(s: Sequent) -> Tuple[int, ...]:
-    agents: Set[int] = set()
-    stack = list(s.formulas())
-    while stack:
-        f = stack.pop()
-        if f.tag == _BOX:
-            agents.add(f.agent)
-            stack.append(f.sub)
-        elif f.tag == _NEG:
-            stack.append(f.sub)
-        elif f.tag in (_AND, _OR, _IMP):
-            stack.append(f.left)
-            stack.append(f.right)
-    return tuple(sorted(agents))
-
-
 def countermodel(logic: Logic, s: Sequent, depth: Optional[int] = None) -> Optional[KripkeModel]:
     """Search for a model of the logic falsifying ``s`` at its root.
 
@@ -201,13 +185,12 @@ def countermodel(logic: Logic, s: Sequent, depth: Optional[int] = None) -> Optio
     sizes this oracle is meant for.  ``None`` means no model was found within
     the bound.
     """
-    for f in s.formulas():
-        if not f.is_quantifier_free:
-            raise NotFirstOrderError(f"quantified formula in sequent: {f!r}")
+    require_first_order(s.formulas())
     if depth is None:
         depth = max((f.modal_depth for f in s.formulas()), default=0)
     goal = list(s.ant.members()) + [neg(f) for f in s.suc.members()]
-    universe = _sequent_agents(s)
+    universe = tuple(sorted({g.agent for f in s.formulas()
+                             for g in f.boxed_subformulas}))
     tree = _find_tree(goal, depth, logic, universe)
     if tree is None:
         return None

@@ -237,6 +237,13 @@ def box_count(formulas: Iterable[Formula]) -> int:
     return len(seen)
 
 
+def require_first_order(formulas: Iterable[Formula]) -> None:
+    """Raise :class:`NotFirstOrderError` if any of ``formulas`` has a quantifier."""
+    for f in formulas:
+        if not f.is_quantifier_free:
+            raise NotFirstOrderError(f"quantified formula in sequent: {f!r}")
+
+
 def substitute(f: Formula, p: str, b: Formula) -> Formula:
     """Replace every free occurrence of the variable ``p`` in ``f`` by ``b``.
 
@@ -408,6 +415,11 @@ class Sequent:
     def weight(self) -> int:
         return self.ant.weight() + self.suc.weight()
 
+    measure = weight  # the termination measure of the K/KD calculi
+
+    def with_sides(self, ant: Multiset, suc: Multiset) -> "Sequent":
+        return Sequent(ant, suc)
+
     def formulas(self) -> Iterator[Formula]:
         yield from self.ant
         yield from self.suc
@@ -442,9 +454,18 @@ class TSequent:
     def measure(self) -> Tuple[int, int]:
         """Lexicographic termination measure: boxed-subformula count, then weight."""
         if self._measure is None:
-            b = box_count(list(self.store) + list(self.ant) + list(self.suc))
+            b = box_count([*self.store.counts, *self.ant.counts, *self.suc.counts])
             self._measure = (b, self.ant.weight() + self.suc.weight())
         return self._measure
+
+    def with_sides(self, ant: Multiset, suc: Multiset) -> "TSequent":
+        """The same store with new sides."""
+        return TSequent(self.store, ant, suc)
+
+    def formulas(self) -> Iterator[Formula]:
+        yield from self.store
+        yield from self.ant
+        yield from self.suc
 
 
 def is_critical(s: Sequent) -> bool:

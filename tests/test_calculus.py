@@ -6,7 +6,7 @@ import randgen
 from modalforget import (
     Derivation, Logic, Multiset, NotFirstOrderError, Sequent, TSequent, and_,
     bot, box, check_derivation, forall, imp, multiset, naive_kt_prove, neg,
-    parse_formula, parse_sequent, prove, prove_tplus, substitute, var,
+    or_, parse_formula, parse_sequent, prove, prove_tplus, substitute, var,
 )
 
 K, KD, KT = Logic.K, Logic.KD, Logic.KT
@@ -176,6 +176,32 @@ def test_check_rejects_wrong_propositional_premise():
     ok, violations = check_derivation(K, bad)
     assert not ok
     assert any("does not match schema" in v for v in violations)
+
+
+@pytest.mark.parametrize("kind", ["sequent", "tsequent"])
+@pytest.mark.parametrize("label", ["LNeg", "LAnd", "LOr", "LImp",
+                                   "RNeg", "RAnd", "ROr", "RImp"])
+def test_check_rejects_malformed_propositional_principal(label, kind):
+    side, other = ("ant", "suc") if label[0] == "L" else ("suc", "ant")
+    f = {"Neg": neg(p), "And": and_(p, q), "Or": or_(p, q), "Imp": imp(p, q)}[label[1:]]
+
+    def conclusion(g):
+        sides = {side: multiset(g), other: Multiset()}
+        if kind == "tsequent":
+            return TSequent(multiset(box(1, q)), sides["ant"], sides["suc"])
+        return Sequent(sides["ant"], sides["suc"])
+
+    logic = KT if kind == "tsequent" else K
+    cases = [
+        (conclusion(q), ((side, q),), "has the wrong main connective"),
+        (conclusion(q), ((side, f),), f"missing from the {side} side"),
+        (conclusion(f), ((other, f),),
+         f"no principal formula recorded on the {side} side"),
+    ]
+    for s, principal, message in cases:
+        ok, violations = check_derivation(logic, Derivation(s, label, principal))
+        assert not ok
+        assert any(f"{label}: " in v and message in v for v in violations), violations
 
 
 def test_check_rejects_boxtplus_with_wrong_store():

@@ -347,6 +347,12 @@ def test_forget_rejects_quantifiers():
         forget_kkd("p", multiset(forall("q", q)), Multiset())
 
 
+def test_forget_t_rejects_unboxed_store_member():
+    from modalforget import StoreError
+    with pytest.raises(StoreError):
+        forget_t("p", multiset(q), Multiset(), multiset(p))
+
+
 def test_monotone_termination_audit_counts():
     from modalforget.interpolation import AUDIT
     before = AUDIT["table_calls_checked"]

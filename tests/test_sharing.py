@@ -5,7 +5,8 @@ import json
 import time
 
 from modalforget import (
-    Logic, and_, box, forget_kkd, imp, neg, parse_formula, parse_sequent,
+    Logic, Multiset, Sequent, and_, box, countermodel, eval_formula,
+    forget_kkd, imp, multiset, neg, parse_formula, parse_sequent,
     post_interpolant, prove, render, var,
 )
 from modalforget.interpolation import AUDIT
@@ -76,6 +77,18 @@ def test_deeply_shared_formula_constructs_instantly():
     assert neg(a) is b and box(1, a) is c
     assert hash(b) == hash(neg(a)) and b != c
     assert and_(q, a) < and_(a, q)  # ordering still by key: var before and
+
+
+def test_countermodel_of_deeply_shared_formula_is_fast():
+    # => a with a = a & a sixty times over [1]p: the agents of the sequent
+    # must be read off the DAG, not collected by walking its 2**60 leaves.
+    a = box(1, p)
+    for _ in range(60):
+        a = and_(a, a)
+    start = time.perf_counter()
+    model = countermodel(K, Sequent(Multiset(), multiset(a)))
+    assert time.perf_counter() - start < 1.0
+    assert model is not None and not eval_formula(model, model.root, a)
 
 
 def test_kt_ladder_rung3_is_fast_and_p_free():
