@@ -124,6 +124,7 @@ PROPOSITIONAL_RULES = {
     ("suc", _IMP): ("RImp", lambda f, a, s: ((a.add(f.left), s.add(f.right)),)),
 }
 _RULE_SHAPE = {label: shape for shape, (label, _) in PROPOSITIONAL_RULES.items()}
+_COMPOUND = frozenset(tag for _, tag in PROPOSITIONAL_RULES)
 
 
 def premise_sides(side: str, f: Formula, ant: Multiset, suc: Multiset):
@@ -135,34 +136,20 @@ def premise_sides(side: str, f: Formula, ant: Multiset, suc: Multiset):
     return premises(f, ant, suc.remove(f))
 
 
-def invertible_step(s):
-    """The propositional rule that backward search applies eagerly to ``s``.
+def invertible_step(ant: Multiset, suc: Multiset):
+    """The propositional rule that backward search applies eagerly to ``ant => suc``.
 
     Its principal is the first compound formula of the antecedent, else of
     the succedent, in canonical order.  Returns ``(label, side, principal,
-    premises)`` with the premises as sequents of the same kind as ``s``, or
-    ``None`` when ``s`` has no compound formula left.
+    premises)`` with the premises as (antecedent, succedent) pairs, or
+    ``None`` when no compound formula is left.
     """
-    for side in ("ant", "suc"):
-        for f in getattr(s, side):
-            rule = PROPOSITIONAL_RULES.get((side, f.tag))
-            if rule is not None:
-                return rule[0], side, f, [s.with_sides(a, b) for a, b
-                                          in premise_sides(side, f, s.ant, s.suc)]
+    for side, ms in (("ant", ant), ("suc", suc)):
+        for f, _ in ms.items():
+            if f.tag in _COMPOUND:
+                label = PROPOSITIONAL_RULES[side, f.tag][0]
+                return label, side, f, premise_sides(side, f, ant, suc)
     return None
-
-
-def box_source(s) -> Multiset:
-    """Where the modal rules read antecedent boxes: the store of a T-sequent
-    (its antecedent boxes were unfolded into it), else the antecedent."""
-    return s.store if isinstance(s, TSequent) else s.ant
-
-
-def modal_premise(s, ant: Multiset, suc: Multiset):
-    """A premise of a modal rule below ``s``; a T-sequent's store restarts empty."""
-    if isinstance(s, TSequent):
-        return TSequent(Multiset(), ant, suc)
-    return Sequent(ant, suc)
 
 
 def unfold_box(t: TSequent, f: Formula) -> TSequent:
@@ -199,12 +186,12 @@ class _Search:
         if d is not None:
             return d
         m = s.measure()
-        step = invertible_step(s)
+        step = invertible_step(s.ant, s.suc)
         if step is not None:
             rule, side, f, premises = step
             subs = []
-            for p in premises:
-                sub = self._child(m, p, depth)
+            for ant, suc in premises:
+                sub = self._child(m, s.with_sides(ant, suc), depth)
                 if sub is None:
                     return None
                 subs.append(sub)
@@ -219,10 +206,12 @@ class _Search:
                         return None
                     return Derivation(s, "BoxTPlus", (("ant", f),), (sub,))
         # Critical sequent: branch disjunctively over modal rule instances.
-        boxes = box_source(s)
+        # BoxKPlus takes its boxes from the store, BoxK from the antecedent.
+        boxes = s.store if kt else s.ant
         for f in s.suc:
             if f.is_box:
-                premise = modal_premise(s, flats(boxes, f.agent), Multiset((f.sub,)))
+                ant, suc = flats(boxes, f.agent), Multiset((f.sub,))
+                premise = TSequent(Multiset(), ant, suc) if kt else Sequent(ant, suc)
                 sub = self._child(m, premise, depth)
                 if sub is not None:
                     return Derivation(s, "BoxKPlus" if kt else "BoxK",
@@ -328,12 +317,12 @@ class _NaiveKTSearch:
 
     def _derive(self, s: Sequent, bound: int,
                 depth: int) -> Tuple[Optional[Derivation], bool]:
-        step = invertible_step(s)
+        step = invertible_step(s.ant, s.suc)
         if step is not None:
             rule, side, f, premises = step
             subs = []
-            for p in premises:
-                sub, pruned = self.run(p, bound - 1, depth + 1)
+            for ant, suc in premises:
+                sub, pruned = self.run(Sequent(ant, suc), bound - 1, depth + 1)
                 if sub is None:
                     return None, pruned
                 subs.append(sub)

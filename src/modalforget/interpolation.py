@@ -27,24 +27,19 @@ included, and the vocabulary check on every entry computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .calculus import (
-    Logic, box_source, invertible_step, modal_premise, prove, unfold_box,
-)
+from .calculus import Logic, invertible_step, prove
 from .syntax import (
     Formula, Multiset, Sequent, TSequent,
     and_, big_or, bot, box, diamond, flats, imp, neg, or_, require_first_order,
-    top, var,
+    t_measure, top, var,
 )
 
 AUDIT = {"table_calls_checked": 0}
 
 _BOT = bot()
-
-
-# Per-call table memo: sequent (or T-sequent) -> entry.
-_Memo = Dict[Union[Sequent, TSequent], Formula]
+_EMPTY = Multiset()
 
 
 def _audit_call(parent, child) -> None:
@@ -56,11 +51,11 @@ def _audit_call(parent, child) -> None:
         )
 
 
-def _vocabulary_check(result: Formula, p: str, s) -> Formula:
+def _vocabulary_check(result: Formula, p: str, parts: Sequence[Multiset]) -> Formula:
     used = result.free_vars
     if not used:  # a variable-free entry needs no check
         return result
-    allowed = frozenset().union(*(f.free_vars for f in s.formulas())) - {p}
+    allowed = frozenset().union(*(f.free_vars for ms in parts for f in ms.counts)) - {p}
     if not used <= allowed:
         raise AssertionError(
             f"interpolant {result!r} uses variables outside {sorted(allowed)}"
@@ -75,9 +70,8 @@ def forget_kkd(p: str, gamma: Multiset, delta: Multiset) -> Formula:
     calculus differs.  The result mentions no variable outside the sequent
     and never mentions ``p``.
     """
-    s = Sequent(gamma, delta)
-    require_first_order(s.formulas())
-    return _forget(p, s, None, {})
+    require_first_order(Sequent(gamma, delta).formulas())
+    return _forget(p, False, _EMPTY, gamma, delta)
 
 
 def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formula:
@@ -89,58 +83,67 @@ def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formu
     recursive calls restart with an empty store.  A store member that is not
     outermost-boxed raises :class:`StoreError`.
     """
-    t = TSequent(store, gamma, delta)
-    require_first_order(t.formulas())
-    return _forget(p, t, None, {})
+    require_first_order(TSequent(store, gamma, delta).formulas())
+    return _forget(p, True, store, gamma, delta)
 
 
-def _forget(p: str, s, parent_measure, memo: _Memo) -> Formula:
-    m = s.measure()
-    if parent_measure is not None:
-        _audit_call(parent_measure, m)
-    result = memo.get(s)
-    if result is None:
-        result = _vocabulary_check(_table_entry(p, s, m, memo), p, s)
-        memo[s] = result
-    return result
+def _forget(p: str, kt: bool, store: Multiset, gamma: Multiset,
+            delta: Multiset) -> Formula:
+    """The table, with the KT unfolding line when ``kt`` holds.
 
-
-def _table_entry(p: str, s, m, memo: _Memo) -> Formula:
+    The memo of one top-level call is keyed by (Γ, Δ) for K/KD, whose store
+    stays empty, and by (store, Γ, Δ) for KT.
+    """
     pv = var(p)
-    if pv in s.ant and pv in s.suc:
-        return top()
-    if _BOT in s.ant:
-        return top()
+    memo: Dict[tuple, Formula] = {}
 
-    def rec(premise) -> Formula:
-        return _forget(p, premise, m, memo)
+    def entry(store: Multiset, gamma: Multiset, delta: Multiset, parent) -> Formula:
+        m = t_measure(store, gamma, delta) if kt else gamma.weight() + delta.weight()
+        if parent is not None:
+            _audit_call(parent, m)
+        key = (store, gamma, delta) if kt else (gamma, delta)
+        result = memo.get(key)
+        if result is None:
+            result = _vocabulary_check(compute(store, gamma, delta, m), p, key)
+            memo[key] = result
+        return result
 
-    step = invertible_step(s)
-    if step is not None:
-        # A two-premise rule conjoins the interpolants of its premises.
-        entries = [rec(premise) for premise in step[3]]
-        return entries[0] if len(entries) == 1 else and_(*entries)
-    if isinstance(s, TSequent):
-        for f in s.ant:
-            if f.is_box:  # unfold into the store, as the reflexivity rule does
-                return rec(unfold_box(s, f))
+    def compute(store: Multiset, gamma: Multiset, delta: Multiset, m) -> Formula:
+        if pv in gamma and pv in delta:
+            return top()
+        if _BOT in gamma:
+            return top()
+        step = invertible_step(gamma, delta)
+        if step is not None:
+            # A two-premise rule conjoins the interpolants of its premises.
+            (g, d), *second = step[3]
+            result = entry(store, g, d, m)
+            for g, d in second:
+                result = and_(result, entry(store, g, d, m))
+            return result
+        if kt:
+            for f in gamma:
+                if f.is_box:  # unfold into the store, as the reflexivity rule does
+                    return entry(store.add(f), gamma.remove(f).add(f.sub), delta, m)
 
-    # Critical sequent: occurrences of the forgotten variable are dropped.
-    g = s.ant.remove_all(pv)
-    d = s.suc.remove_all(pv)
-    boxes = box_source(s)
-    disjuncts: List[Formula] = [q for q in d.members() if q.is_atom]
-    disjuncts += [neg(r) for r in g.members() if r.is_atom]
-    for bf in boxes.members():
-        if bf.is_box:
-            body = flats(boxes, bf.agent)
-            disjuncts.append(diamond(bf.agent, rec(modal_premise(s, body, Multiset()))))
-    for bf in d.members():
-        if bf.is_box:
-            body = flats(boxes, bf.agent)
-            disjuncts.append(
-                box(bf.agent, rec(modal_premise(s, body, Multiset((bf.sub,))))))
-    return big_or(disjuncts)
+        # Critical sequent: occurrences of the forgotten variable are dropped.
+        g = gamma.remove_all(pv)
+        d = delta.remove_all(pv)
+        boxes = store if kt else g  # the store for KT, the antecedent for K/KD
+        disjuncts: List[Formula] = [q for q in d.members() if q.is_atom]
+        disjuncts += [neg(r) for r in g.members() if r.is_atom]
+        for bf in boxes.members():
+            if bf.is_box:
+                body = flats(boxes, bf.agent)
+                disjuncts.append(diamond(bf.agent, entry(_EMPTY, body, _EMPTY, m)))
+        for bf in d.members():
+            if bf.is_box:
+                body = flats(boxes, bf.agent)
+                disjuncts.append(
+                    box(bf.agent, entry(_EMPTY, body, Multiset((bf.sub,)), m)))
+        return big_or(disjuncts)
+
+    return entry(store, gamma, delta, None)
 
 
 def forget_formula(logic: Logic, p: str, b: Formula) -> Formula:

@@ -237,6 +237,13 @@ def box_count(formulas: Iterable[Formula]) -> int:
     return len(seen)
 
 
+def t_measure(store: "Multiset", ant: "Multiset", suc: "Multiset") -> Tuple[int, int]:
+    """Termination measure of the T-sequent ``store | ant => suc``: the number
+    of distinct boxed subformulas, then the weight, compared lexicographically."""
+    b = box_count([*store.counts, *ant.counts, *suc.counts])
+    return (b, ant.weight() + suc.weight())
+
+
 def require_first_order(formulas: Iterable[Formula]) -> None:
     """Raise :class:`NotFirstOrderError` if any of ``formulas`` has a quantifier."""
     for f in formulas:
@@ -431,8 +438,8 @@ class TSequent:
     __slots__ = ("store", "ant", "suc", "_hash", "_measure")
 
     def __init__(self, store: Multiset, ant: Multiset, suc: Multiset):
-        for f in store:
-            if not f.is_box:
+        for f in store.counts:
+            if f.tag != _BOX:
                 raise StoreError(f"store member {f!r} is not outermost-boxed")
         self.store = store
         self.ant = ant
@@ -452,10 +459,9 @@ class TSequent:
         return sequent_to_text(self)
 
     def measure(self) -> Tuple[int, int]:
-        """Lexicographic termination measure: boxed-subformula count, then weight."""
+        """The termination measure ``t_measure``, computed once."""
         if self._measure is None:
-            b = box_count([*self.store.counts, *self.ant.counts, *self.suc.counts])
-            self._measure = (b, self.ant.weight() + self.suc.weight())
+            self._measure = t_measure(self.store, self.ant, self.suc)
         return self._measure
 
     def with_sides(self, ant: Multiset, suc: Multiset) -> "TSequent":
