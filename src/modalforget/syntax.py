@@ -438,8 +438,8 @@ class TSequent:
     __slots__ = ("store", "ant", "suc", "_hash", "_measure")
 
     def __init__(self, store: Multiset, ant: Multiset, suc: Multiset):
-        for f in store.counts:
-            if f.tag != _BOX:
+        for f in store:
+            if not f.is_box:
                 raise StoreError(f"store member {f!r} is not outermost-boxed")
         self.store = store
         self.ant = ant
