@@ -71,7 +71,7 @@ def forget_kkd(p: str, gamma: Multiset, delta: Multiset) -> Formula:
     and never mentions ``p``.
     """
     require_first_order(Sequent(gamma, delta).formulas())
-    return _forget(p, False, _EMPTY, gamma, delta)
+    return _Table(p, False).entry(_EMPTY, gamma, delta)
 
 
 def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formula:
@@ -84,31 +84,37 @@ def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formu
     outermost-boxed raises :class:`StoreError`.
     """
     require_first_order(TSequent(store, gamma, delta).formulas())
-    return _forget(p, True, store, gamma, delta)
+    return _Table(p, True).entry(store, gamma, delta)
 
 
-def _forget(p: str, kt: bool, store: Multiset, gamma: Multiset,
-            delta: Multiset) -> Formula:
-    """The table, with the KT unfolding line when ``kt`` holds.
+class _Table:
+    """One top-level forgetting call: the table, with the KT unfolding line
+    when ``kt`` holds, and its memo, which is dropped with the call.
 
-    The memo of one top-level call is keyed by (Γ, Δ) for K/KD, whose store
-    stays empty, and by (store, Γ, Δ) for KT.
+    K/KD keep the store empty and measure calls by weight; the memo is keyed
+    by (Γ, Δ) for K/KD and by (store, Γ, Δ) for KT.
     """
-    pv = var(p)
-    memo: Dict[tuple, Formula] = {}
 
-    def entry(store: Multiset, gamma: Multiset, delta: Multiset, parent) -> Formula:
+    def __init__(self, p: str, kt: bool):
+        self.p, self.pv, self.kt = p, var(p), kt
+        self.memo: Dict[tuple, Formula] = {}
+
+    def entry(self, store: Multiset, gamma: Multiset, delta: Multiset,
+              parent=None) -> Formula:
+        kt = self.kt
         m = t_measure(store, gamma, delta) if kt else gamma.weight() + delta.weight()
         if parent is not None:
             _audit_call(parent, m)
         key = (store, gamma, delta) if kt else (gamma, delta)
-        result = memo.get(key)
+        result = self.memo.get(key)
         if result is None:
-            result = _vocabulary_check(compute(store, gamma, delta, m), p, key)
-            memo[key] = result
+            result = self._compute(store, gamma, delta, m)
+            result = _vocabulary_check(result, self.p, key)
+            self.memo[key] = result
         return result
 
-    def compute(store: Multiset, gamma: Multiset, delta: Multiset, m) -> Formula:
+    def _compute(self, store: Multiset, gamma: Multiset, delta: Multiset, m) -> Formula:
+        pv, kt = self.pv, self.kt
         if pv in gamma and pv in delta:
             return top()
         if _BOT in gamma:
@@ -117,14 +123,14 @@ def _forget(p: str, kt: bool, store: Multiset, gamma: Multiset,
         if step is not None:
             # A two-premise rule conjoins the interpolants of its premises.
             (g, d), *second = step[3]
-            result = entry(store, g, d, m)
+            result = self.entry(store, g, d, m)
             for g, d in second:
-                result = and_(result, entry(store, g, d, m))
+                result = and_(result, self.entry(store, g, d, m))
             return result
         if kt:
             for f in gamma:
                 if f.is_box:  # unfold into the store, as the reflexivity rule does
-                    return entry(store.add(f), gamma.remove(f).add(f.sub), delta, m)
+                    return self.entry(store.add(f), gamma.remove(f).add(f.sub), delta, m)
 
         # Critical sequent: occurrences of the forgotten variable are dropped.
         g = gamma.remove_all(pv)
@@ -135,15 +141,13 @@ def _forget(p: str, kt: bool, store: Multiset, gamma: Multiset,
         for bf in boxes.members():
             if bf.is_box:
                 body = flats(boxes, bf.agent)
-                disjuncts.append(diamond(bf.agent, entry(_EMPTY, body, _EMPTY, m)))
+                disjuncts.append(diamond(bf.agent, self.entry(_EMPTY, body, _EMPTY, m)))
         for bf in d.members():
             if bf.is_box:
                 body = flats(boxes, bf.agent)
                 disjuncts.append(
-                    box(bf.agent, entry(_EMPTY, body, Multiset((bf.sub,)), m)))
+                    box(bf.agent, self.entry(_EMPTY, body, Multiset((bf.sub,)), m)))
         return big_or(disjuncts)
-
-    return entry(store, gamma, delta, None)
 
 
 def forget_formula(logic: Logic, p: str, b: Formula) -> Formula:
