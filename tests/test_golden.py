@@ -14,8 +14,9 @@ import random
 
 import randgen
 from modalforget import (
-    Logic, Multiset, TSequent, box, check_derivation, forget_kkd, forget_t,
-    naive_kt_prove, prove, prove_tplus, render,
+    CaptureError, Logic, Multiset, TSequent, and_, box, check_derivation,
+    eliminate_quantifiers, forall, forget_kkd, forget_t, naive_kt_prove, neg,
+    or_, prove, prove_tplus, render, replay_trace, substitute, var,
 )
 from modalforget.calculus import AUDIT as SEARCH_AUDIT
 from modalforget.interpolation import AUDIT as TABLE_AUDIT
@@ -102,3 +103,111 @@ def test_naive_kt_derivations_are_golden():
         lines.append(f"{st.nodes_expanded} {st.max_depth}")
         lines.append(render(r.derivation, "json") if r.derivable_within else "unknown")
     assert _digest(lines) == NAIVE_GOLDEN
+
+
+def _renderings(x):
+    return [render(x, "text"), render(x, "latex")]
+
+
+def _render_outputs(logic, corpus):
+    lines = []
+    for s, store in corpus:
+        for f in [*s.ant.members(), *s.suc.members(), *store.members()]:
+            lines += _renderings(f)
+        t = TSequent(store, s.ant, s.suc)
+        lines += _renderings(s) + _renderings(t)
+        results = [prove(logic, s)]
+        if logic is Logic.KT:
+            results.append(prove_tplus(t))
+        for r in results:
+            lines += _renderings(r.derivation) if r.derivable else ["underivable"]
+    return _digest(lines)
+
+
+# logic -> digest of the text and LaTeX renderings
+RENDER_GOLDEN = {
+    Logic.K: "8af466590cfeef0452c2bc123a510d1187746b1c04cb8348b58278dd97c021a3",
+    Logic.KD: "5b2a3dbf0691d0bbf263270f559331b23cb118b42cd050dd046e5df79b007725",
+    Logic.KT: "d2fca8ab2d891341d625aa27209a4ebd5ea536c9c5fab6103db0ec2e8e562ec0",
+}
+NAIVE_RENDER_GOLDEN = "5187862b436d1c9d24ba323d1e686841ed35487a4dabb239d93316db6caa7d8c"
+
+
+def test_text_and_latex_renderings_are_golden():
+    for logic in Logic:
+        assert _render_outputs(logic, _corpus(logic)) == RENDER_GOLDEN[logic], logic
+
+
+def test_naive_kt_renderings_are_golden():
+    lines = []
+    for s, _ in _corpus(Logic.KT)[:150]:
+        r = naive_kt_prove(s, 6)
+        lines += _renderings(r.derivation) if r.derivable_within else ["unknown"]
+    assert _digest(lines) == NAIVE_RENDER_GOLDEN
+
+
+def _l2_formulas(logic, corpus):
+    """One L2 formula per corpus entry, cycling through four quantifier shapes:
+    ``forall``, ``B | forall``, ``[1]forall`` and ``~forall(.. | forall ..)``."""
+    rng = random.Random(SEEDS[logic] + 1000)
+    out = []
+    for i in range(len(corpus)):
+        a = randgen.formula(rng, rng.randint(1, 6), max_box_depth=2)
+        b = randgen.formula(rng, rng.randint(1, 4), max_box_depth=1)
+        v, w = rng.choice(randgen.VARS), rng.choice(randgen.VARS)
+        inner = forall(v, a)
+        shape = i % 4
+        if shape == 0:
+            out.append(inner)
+        elif shape == 1:
+            out.append(or_(b, inner))
+        elif shape == 2:
+            out.append(box(1, inner))
+        else:
+            out.append(neg(forall(w, or_(b, inner))))
+    return out
+
+
+_SUBSTITUTE_BY = and_(var("r"), box(1, var("s")))
+
+
+def _substitution_outputs(logic, corpus):
+    lines = []
+    formulas = [f for s, store in corpus
+                for f in [*s.ant.members(), *s.suc.members(), *store.members()]]
+    for f in formulas + _l2_formulas(logic, corpus):
+        for p in ("p", "q"):
+            try:
+                lines.append(render(substitute(f, p, _SUBSTITUTE_BY), "text"))
+            except CaptureError:
+                lines.append("capture")
+    return _digest(lines)
+
+
+def _elimination_outputs(logic, corpus):
+    lines = []
+    for f in _l2_formulas(logic, corpus):
+        out, trace = eliminate_quantifiers(logic, f)
+        assert replay_trace(f, trace) == out
+        lines.append(render(out, "text"))
+        for v, before, after in trace.steps:
+            lines.append(f"{v} {render(before, 'text')} {render(after, 'text')}")
+    return _digest(lines)
+
+
+# logic -> (substitute digest, eliminate_quantifiers digest)
+SYNTAX_GOLDEN = {
+    Logic.K: ("96c575879ad316fa0ddaa4dfa18e7a3f20f23c45daf23cb4b51a1e3c37d55edd",
+              "b55567f9c2b41caa1972cbfd789410f2af8c7190d1d61d3bd223749945eb62e1"),
+    Logic.KD: ("2009e5cb0631ea66423843ee9d0681810ececd2b4e300adc4662b8b1443eb9a2",
+               "1282d669314899aa53892b78787c4d5f3de7d4a8ed11b127da919459741bd0b4"),
+    Logic.KT: ("1fe18255844848c39fdb7735f3892ec21ecf69d53a1d6ef7bc90b3264a2f8c0f",
+               "71af53ece3e0da4b28317ea4042e78594e4f86a4b8d0daca4aec960df9251973"),
+}
+
+
+def test_substitution_and_elimination_are_golden():
+    for logic in Logic:
+        corpus = _corpus(logic)
+        got = (_substitution_outputs(logic, corpus), _elimination_outputs(logic, corpus))
+        assert got == SYNTAX_GOLDEN[logic], (logic, got)
