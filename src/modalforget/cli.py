@@ -27,6 +27,16 @@ from .syntax import LogicError, Multiset
 _LOGICS = {"k": Logic.K, "kd": Logic.KD, "kt": Logic.KT}
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` accepting integers no smaller than ``low``."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modalforget",
@@ -52,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forget", required=True,
                    help="comma-separated variables to forget, e.g. p,q")
     p.add_argument("--side", choices=["pre", "post"], default="post")
-    p.add_argument("--verify-bound", type=int, default=None,
+    p.add_argument("--verify-bound", type=_int_at_least(1), default=None,
                    help="brute-force check the interpolant up to this weight")
     p.add_argument("--raw", action="store_true",
                    help="input is a sequent; apply the raw one-variable table")
@@ -62,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("countermodel", help="search for a Kripke countermodel")
     common(p, True)
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_int_at_least(0), default=None,
                    help="successor-chain bound (default: modal depth)")
     return parser
 
@@ -113,7 +123,10 @@ def _cmd_interpolate(args) -> int:
     forget = [v.strip() for v in args.forget.split(",") if v.strip()]
     if not forget:
         raise ParseErrorlessUsage("--forget needs at least one variable")
+    if len(set(forget)) != len(forget):
+        raise ParseErrorlessUsage("--forget lists a variable more than once")
     text = _read_input(args)
+    report = None
     if args.raw:
         if len(forget) != 1:
             raise ParseErrorlessUsage("--raw takes exactly one forgotten variable")
@@ -122,7 +135,6 @@ def _cmd_interpolate(args) -> int:
             interp = forget_t(forget[0], Multiset(), sequent.ant, sequent.suc)
         else:
             interp = forget_kkd(forget[0], sequent.ant, sequent.suc)
-        report = None
     else:
         subject = parse_formula(text)
         if args.verify_bound is not None:
@@ -130,11 +142,8 @@ def _cmd_interpolate(args) -> int:
             report = verify_uniform(problem, args.verify_bound)
             interp = report.interpolant
         else:
-            report = None
-            if args.side == "post":
-                interp = post_interpolant(logic, subject, forget)
-            else:
-                interp = pre_interpolant(logic, subject, forget)
+            side = post_interpolant if args.side == "post" else pre_interpolant
+            interp = side(logic, subject, forget)
     if args.format == "json":
         obj = {"interpolant": formula_to_obj(interp)}
         if report is not None:

@@ -27,7 +27,7 @@ included, and the vocabulary check on every entry computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .calculus import Logic, invertible_step, prove
 from .syntax import (
@@ -213,10 +213,9 @@ class InterpolantReport:
 
 def _candidates_up_to(weight_bound: int, names: Sequence[str],
                       agents: Sequence[int]):
-    """All candidate partner formulas over the vocabulary, grouped by weight."""
+    """All candidate partner formulas over the vocabulary, by weight 1..weight_bound."""
     by_weight: List[List[Formula]] = [[] for _ in range(weight_bound + 1)]
-    if weight_bound >= 1:
-        by_weight[1] = [bot()] + [var(n) for n in names]
+    by_weight[1] = [bot()] + [var(n) for n in names]
     for w in range(2, weight_bound + 1):
         batch: List[Formula] = []
         for f in by_weight[w - 1]:
@@ -234,52 +233,38 @@ def _candidates_up_to(weight_bound: int, names: Sequence[str],
     return by_weight
 
 
-def _derivable(logic: Logic, a: Formula, b: Formula) -> bool:
-    return prove(logic, Sequent(Multiset((a,)), Multiset((b,)))).derivable
-
-
-def verify_uniform(problem: InterpolationProblem, weight_bound: int,
-                   max_candidates: Optional[int] = None) -> InterpolantReport:
+def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> InterpolantReport:
     """Compute the interpolant and brute-force check the interpolation clauses.
 
     The extremality clause quantifies over all partner formulas; it is checked
     against every formula over the kept vocabulary of the subject (plus its
-    agents) up to the weight bound.  If ``max_candidates`` cuts enumeration
-    short, ``extremality_checked_up_to`` records the last fully checked weight.
+    agents) up to the weight bound.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be at least 1")
-    logic, subject, side = problem.logic, problem.subject, problem.side
-    if side == "post":
-        interp = post_interpolant(logic, subject, problem.forget)
-        implication_ok = _derivable(logic, subject, interp)
-    else:
-        interp = pre_interpolant(logic, subject, problem.forget)
-        implication_ok = _derivable(logic, interp, subject)
+    logic, subject, post = problem.logic, problem.subject, problem.side == "post"
+    interp = (post_interpolant if post else pre_interpolant)(logic, subject, problem.forget)
+
+    def entails(a: Formula, b: Formula) -> bool:
+        """Derivability of ``a => b``; the pre side reverses every entailment."""
+        if not post:
+            a, b = b, a
+        return prove(logic, Sequent(Multiset((a,)), Multiset((b,)))).derivable
+
+    implication_ok = entails(subject, interp)
     vocab_ok = not (interp.free_vars & set(problem.forget))
 
     names = sorted(subject.free_vars - set(problem.forget))
     agents = sorted({f.agent for f in subject.boxed_subformulas})
-    by_weight = _candidates_up_to(weight_bound, names, agents)
     extremality_ok = True
-    checked_up_to = 0
-    seen = 0
-    for w in range(1, weight_bound + 1):
-        if max_candidates is not None and seen + len(by_weight[w]) > max_candidates:
-            break
-        for c in by_weight[w]:
-            seen += 1
-            if side == "post":
-                if _derivable(logic, subject, c) and not _derivable(logic, interp, c):
-                    extremality_ok = False
-            else:
-                if _derivable(logic, c, subject) and not _derivable(logic, c, interp):
-                    extremality_ok = False
-        checked_up_to = w
+    for batch in _candidates_up_to(weight_bound, names, agents)[1:]:
+        for c in batch:
+            if entails(subject, c) and not entails(interp, c):
+                extremality_ok = False
     return InterpolantReport(
         interpolant=interp,
         vocab_ok=vocab_ok,
         implication_ok=implication_ok,
-        extremality_checked_up_to=checked_up_to,
+        extremality_checked_up_to=weight_bound,
         extremality_ok=extremality_ok,
     )

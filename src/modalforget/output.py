@@ -1,6 +1,9 @@
 """Serializers for formulas, derivations and Kripke models.
 
-The ``text`` format for formulas round-trips through the parser.  JSON
+Text and LaTeX formulas come from one precedence printer driven by two symbol
+tables (``_TEXT``, ``_LATEX``); implication associates to the right, the
+other binary connectives to the left.  The two sequent printers stay separate
+because text strips empty sides and LaTeX does not.  The ``text`` format for formulas round-trips through the parser.  JSON
 derivations follow the stable schema ``derivation/1``: a node is
 ``{"sequent": {"ant": [...], "suc": [...]}, "rule": <label>, "premises": [...]}``
 with formulas as nested ``{"op": ...}`` objects; T-sequent nodes carry an extra
@@ -18,38 +21,41 @@ from .syntax import (
     Formula, Sequent, TSequent,
 )
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = range(5)
+_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = range(4)
+_BINARY_PREC = {_AND: _PREC_AND, _OR: _PREC_OR, _IMP: _PREC_IMP}
+_JSON_BIN = {_AND: "and", _OR: "or", _IMP: "imp"}
+
+# Symbol tables of the two formula formats: bottom, the unary prefixes
+# (formatted with the agent or the bound variable) and the binary infixes.
+_TEXT = {_BOT: "false", _NEG: "~", _BOX: "[{}]", _FORALL: "forall {}.",
+         _AND: " & ", _OR: " | ", _IMP: " -> "}
+_LATEX = {_BOT: r"\bot", _NEG: r"\neg ", _BOX: r"\Box_{{{}}} ",
+          _FORALL: r"\forall {}\, ", _AND: r" \wedge ", _OR: r" \vee ",
+          _IMP: r" \rightarrow "}
 
 
-def _text(f: Formula, min_prec: int) -> str:
+def _print(f: Formula, min_prec: int, symbols: Dict[int, str]) -> str:
     tag = f.tag
     if tag == _VAR:
         return f.name
     if tag == _BOT:
-        return "false"
-    if tag == _NEG:
-        s = "~" + _text(f.sub, _PREC_UNARY)
-        prec = _PREC_UNARY
-    elif tag == _BOX:
-        s = f"[{f.agent}]" + _text(f.sub, _PREC_UNARY)
-        prec = _PREC_UNARY
-    elif tag == _FORALL:
-        s = f"forall {f.var}." + _text(f.sub, _PREC_UNARY)
-        prec = _PREC_UNARY
-    elif tag == _AND:
-        s = _text(f.left, _PREC_AND) + " & " + _text(f.right, _PREC_AND + 1)
-        prec = _PREC_AND
-    elif tag == _OR:
-        s = _text(f.left, _PREC_OR) + " | " + _text(f.right, _PREC_OR + 1)
-        prec = _PREC_OR
-    else:  # implication, right associative
-        s = _text(f.left, _PREC_IMP + 1) + " -> " + _text(f.right, _PREC_IMP)
-        prec = _PREC_IMP
+        return symbols[_BOT]
+    prec = _BINARY_PREC.get(tag)
+    if prec is None:
+        return (symbols[tag].format(f.var if tag == _FORALL else f.agent)
+                + _print(f.sub, _PREC_UNARY, symbols))
+    right_assoc = tag == _IMP  # implication associates to the right
+    s = (_print(f.left, prec + right_assoc, symbols) + symbols[tag]
+         + _print(f.right, prec + (not right_assoc), symbols))
     return f"({s})" if prec < min_prec else s
 
 
 def formula_to_text(f: Formula) -> str:
-    return _text(f, _PREC_IMP)
+    return _print(f, _PREC_IMP, _TEXT)
+
+
+def formula_to_latex(f: Formula) -> str:
+    return _print(f, _PREC_IMP, _LATEX)
 
 
 _ObjMemo = Dict[int, Dict[str, Any]]
@@ -86,39 +92,6 @@ def formula_to_obj(f: Formula, memo: Optional[_ObjMemo] = None) -> Dict[str, Any
                "right": formula_to_obj(f.right, memo)}
     memo[id(f)] = obj
     return obj
-
-
-_JSON_BIN = {_AND: "and", _OR: "or", _IMP: "imp"}
-
-
-_LATEX_BIN = {_AND: r"\wedge", _OR: r"\vee", _IMP: r"\rightarrow"}
-
-
-def _latex(f: Formula, min_prec: int) -> str:
-    tag = f.tag
-    if tag == _VAR:
-        return f.name
-    if tag == _BOT:
-        return r"\bot"
-    if tag == _NEG:
-        s = r"\neg " + _latex(f.sub, _PREC_UNARY)
-        prec = _PREC_UNARY
-    elif tag == _BOX:
-        s = rf"\Box_{{{f.agent}}} " + _latex(f.sub, _PREC_UNARY)
-        prec = _PREC_UNARY
-    elif tag == _FORALL:
-        s = rf"\forall {f.var}\, " + _latex(f.sub, _PREC_UNARY)
-        prec = _PREC_UNARY
-    else:
-        lp = min_prec if tag == _IMP else {_AND: _PREC_AND, _OR: _PREC_OR}[tag]
-        prec = {_AND: _PREC_AND, _OR: _PREC_OR, _IMP: _PREC_IMP}[tag]
-        s = (_latex(f.left, prec + (tag == _IMP)) + f" {_LATEX_BIN[tag]} "
-             + _latex(f.right, prec + (tag != _IMP)))
-    return rf"({s})" if prec < min_prec else s
-
-
-def formula_to_latex(f: Formula) -> str:
-    return _latex(f, _PREC_IMP)
 
 
 def sequent_to_text(s) -> str:

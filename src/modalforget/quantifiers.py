@@ -1,9 +1,10 @@
 """Elimination of propositional quantifiers through uniform interpolation.
 
 A universally quantified formula ``forall p.B`` translates to the result of
-forgetting ``p`` in the translation of ``B``; everything else is homomorphic,
-so quantifier-free formulas are left untouched.  Elimination is innermost
-first, which keeps every forgetting step on quantifier-free input.
+forgetting ``p`` in the translation of ``B``; every other node is rebuilt
+from its translated children by ``syntax.map_children``, so quantifier-free
+formulas come back as the same object.  Elimination is innermost first, which
+keeps every forgetting step on quantifier-free input.
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ from typing import Tuple
 
 from .calculus import Logic
 from .interpolation import forget_formula
-from .syntax import (
-    _AND, _BOT, _BOX, _FORALL, _IMP, _NEG, _OR, _VAR,
-    Formula, and_, box, forall, imp, neg, or_,
-)
+from .syntax import _FORALL, Formula, forall, map_children
 
 
 @dataclass(frozen=True)
@@ -36,19 +34,8 @@ def eliminate_quantifiers(logic: Logic, f: Formula) -> Tuple[Formula, Translatio
     steps = []
 
     def go(g: Formula) -> Formula:
-        tag = g.tag
-        if tag in (_VAR, _BOT):
-            return g
-        if tag == _NEG:
-            return neg(go(g.sub))
-        if tag == _BOX:
-            return box(g.agent, go(g.sub))
-        if tag == _AND:
-            return and_(go(g.left), go(g.right))
-        if tag == _OR:
-            return or_(go(g.left), go(g.right))
-        if tag == _IMP:
-            return imp(go(g.left), go(g.right))
+        if g.tag != _FORALL:
+            return map_children(g, go)
         body = go(g.sub)
         result = forget_formula(logic, g.var, body)
         steps.append((g.var, forall(g.var, body), result))
@@ -67,19 +54,5 @@ def replay_trace(f: Formula, trace: TranslationTrace) -> Formula:
 
 
 def _rewrite(f: Formula, before: Formula, after: Formula) -> Formula:
-    tag = f.tag
-    if tag == _NEG:
-        g = neg(_rewrite(f.sub, before, after))
-    elif tag == _BOX:
-        g = box(f.agent, _rewrite(f.sub, before, after))
-    elif tag == _AND:
-        g = and_(_rewrite(f.left, before, after), _rewrite(f.right, before, after))
-    elif tag == _OR:
-        g = or_(_rewrite(f.left, before, after), _rewrite(f.right, before, after))
-    elif tag == _IMP:
-        g = imp(_rewrite(f.left, before, after), _rewrite(f.right, before, after))
-    elif tag == _FORALL:
-        g = forall(f.var, _rewrite(f.sub, before, after))
-    else:
-        g = f
+    g = map_children(f, lambda h: _rewrite(h, before, after))
     return after if g == before else g

@@ -251,6 +251,19 @@ def require_first_order(formulas: Iterable[Formula]) -> None:
             raise NotFirstOrderError(f"quantified formula in sequent: {f!r}")
 
 
+def map_children(f: Formula, fn) -> Formula:
+    """``f`` rebuilt with ``fn`` applied to each child (left, right, sub).
+
+    Interning makes an atom, or a node whose children come back unchanged,
+    the same object.
+    """
+    left, right, sub = f.left, f.right, f.sub
+    return _make(f.tag, name=f.name, agent=f.agent, var=f.var,
+                 left=None if left is None else fn(left),
+                 right=None if right is None else fn(right),
+                 sub=None if sub is None else fn(sub))
+
+
 def substitute(f: Formula, p: str, b: Formula) -> Formula:
     """Replace every free occurrence of the variable ``p`` in ``f`` by ``b``.
 
@@ -259,26 +272,12 @@ def substitute(f: Formula, p: str, b: Formula) -> Formula:
     """
     if p not in f.free_vars:
         return f
-    tag = f.tag
-    if tag == _VAR:
+    if f.tag == _VAR:
         return b
-    if tag == _NEG:
-        return neg(substitute(f.sub, p, b))
-    if tag == _BOX:
-        return box(f.agent, substitute(f.sub, p, b))
-    if tag == _AND:
-        return and_(substitute(f.left, p, b), substitute(f.right, p, b))
-    if tag == _OR:
-        return or_(substitute(f.left, p, b), substitute(f.right, p, b))
-    if tag == _IMP:
-        return imp(substitute(f.left, p, b), substitute(f.right, p, b))
-    if tag == _FORALL:
-        if f.var in b.free_vars:
-            raise CaptureError(
-                f"substituting for {p!r} under forall {f.var!r} captures a variable"
-            )
-        return forall(f.var, substitute(f.sub, p, b))
-    raise AssertionError(f"unhandled tag {tag}")  # pragma: no cover
+    if f.tag == _FORALL and f.var in b.free_vars:
+        raise CaptureError(f"substituting for {p!r} under forall {f.var!r} "
+                           "captures a variable")
+    return map_children(f, lambda g: substitute(g, p, b))
 
 
 class Multiset:

@@ -159,6 +159,27 @@ def test_usage_error_exit_two():
     assert code == 2
 
 
+def test_verify_bound_below_one_is_usage_error():
+    code, out, err = _run(["interpolate", "--logic", "k", "--forget", "p",
+                           "--verify-bound", "0", "p"])
+    assert (code, out) == (2, "")
+    assert "--verify-bound" in err and "at least 1" in err
+
+
+def test_repeated_forget_variable_is_usage_error():
+    code, out, err = _run(["interpolate", "--logic", "k", "--forget", "p,p",
+                           "p & q"])
+    assert (code, out) == (2, "")
+    assert "more than once" in err
+
+
+def test_negative_depth_is_usage_error():
+    code, out, err = _run(["countermodel", "--logic", "k", "--depth", "-1",
+                           "p => [1]p"])
+    assert (code, out) == (2, "")
+    assert "--depth" in err and "at least 0" in err
+
+
 def test_stdin_input(monkeypatch):
     code, out, _ = _run(["prove", "--logic", "k", "-"],
                         stdin_text="p => p", monkeypatch=monkeypatch)

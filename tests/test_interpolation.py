@@ -335,12 +335,6 @@ def test_verify_uniform_kt_loop_formula():
     assert report.all_ok
 
 
-def test_verify_uniform_budget_cut():
-    report = verify_uniform(InterpolationProblem(K, ("p",), parse_formula("p & q"),
-                                                 "post"), 5, max_candidates=10)
-    assert report.extremality_checked_up_to < 5
-
-
 def test_forget_rejects_quantifiers():
     from modalforget import NotFirstOrderError, forall
     with pytest.raises(NotFirstOrderError):
