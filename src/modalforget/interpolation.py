@@ -243,7 +243,8 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
     if weight_bound < 1:
         raise ValueError("weight_bound must be at least 1")
     logic, subject, post = problem.logic, problem.subject, problem.side == "post"
-    interp = (post_interpolant if post else pre_interpolant)(logic, subject, problem.forget)
+    side = post_interpolant if post else pre_interpolant
+    interp = side(logic, subject, problem.forget)
 
     def entails(a: Formula, b: Formula) -> bool:
         """Derivability of ``a => b``; the pre side reverses every entailment."""

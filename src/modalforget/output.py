@@ -1,10 +1,9 @@
 """Serializers for formulas, derivations and Kripke models.
 
-Text and LaTeX formulas come from one precedence printer driven by two symbol
-tables (``_TEXT``, ``_LATEX``); implication associates to the right, the
-other binary connectives to the left.  The two sequent printers stay separate
-because text strips empty sides and LaTeX does not.  The ``text`` format for formulas round-trips through the parser.  JSON
-derivations follow the stable schema ``derivation/1``: a node is
+One precedence printer writes text and LaTeX formulas from two symbol tables;
+the sequent printers stay apart, as text strips empty sides and LaTeX does
+not.  Text formulas round-trip through the parser.  JSON derivations follow
+the stable schema ``derivation/1``: a node is
 ``{"sequent": {"ant": [...], "suc": [...]}, "rule": <label>, "premises": [...]}``
 with formulas as nested ``{"op": ...}`` objects; T-sequent nodes carry an extra
 ``"store"`` list.  Models use schema ``model/1``.  LaTeX output is

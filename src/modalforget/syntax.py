@@ -254,14 +254,14 @@ def require_first_order(formulas: Iterable[Formula]) -> None:
 def map_children(f: Formula, fn) -> Formula:
     """``f`` rebuilt with ``fn`` applied to each child (left, right, sub).
 
-    Interning makes an atom, or a node whose children come back unchanged,
-    the same object.
+    An atom comes back as itself; interning makes a node whose children come
+    back unchanged the same object too.
     """
-    left, right, sub = f.left, f.right, f.sub
-    return _make(f.tag, name=f.name, agent=f.agent, var=f.var,
-                 left=None if left is None else fn(left),
-                 right=None if right is None else fn(right),
-                 sub=None if sub is None else fn(sub))
+    if f.tag in _BINARY_TAGS:
+        return _make(f.tag, left=fn(f.left), right=fn(f.right))
+    if f.sub is None:  # an atom
+        return f
+    return _make(f.tag, agent=f.agent, var=f.var, sub=fn(f.sub))
 
 
 def substitute(f: Formula, p: str, b: Formula) -> Formula:
