@@ -11,7 +11,7 @@ rehashed.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 
 class LogicError(Exception):
@@ -251,7 +251,7 @@ def require_first_order(formulas: Iterable[Formula]) -> None:
             raise NotFirstOrderError(f"quantified formula in sequent: {f!r}")
 
 
-def map_children(f: Formula, fn) -> Formula:
+def map_children(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """``f`` rebuilt with ``fn`` applied to each child (left, right, sub).
 
     An atom comes back as itself; interning makes a node whose children come
