@@ -7,6 +7,8 @@ every ``prove`` derivation (with its search statistics), and the JSON of the
 height-bounded naive KT derivations.  The exact audit counts (search edges
 and table calls) over the same corpus are pinned too, so a refactor of the
 search or the tables must reproduce both the output and the work done.
+The JSON countermodel of every underivable corpus sequent is pinned as well,
+so a change to the model search must build identical models.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import random
 import randgen
 from modalforget import (
     CaptureError, Logic, Multiset, TSequent, and_, box, check_derivation,
-    eliminate_quantifiers, forall, forget_kkd, forget_t, naive_kt_prove, neg,
+    countermodel, eliminate_quantifiers, forall, forget_kkd, forget_t, naive_kt_prove, neg,
     or_, prove, prove_tplus, render, replay_trace, substitute, var,
 )
 from modalforget.calculus import AUDIT as SEARCH_AUDIT
@@ -211,3 +213,22 @@ def test_substitution_and_elimination_are_golden():
         corpus = _corpus(logic)
         got = (_substitution_outputs(logic, corpus), _elimination_outputs(logic, corpus))
         assert got == SYNTAX_GOLDEN[logic], (logic, got)
+
+
+# logic -> digest of the JSON countermodel of every underivable corpus sequent
+COUNTERMODEL_GOLDEN = {
+    Logic.K: "a4ef1760a611a85f81b396718a1a9b1fd1f4f8d24fbadc7c6ae5fa96660fa44d",
+    Logic.KD: "6e755a4bc04677e59f390f2ab062c57e4c9a139714b92d67d76f33a615737a0e",
+    Logic.KT: "04f40664b8e9502c4f75e275cb9d77316b9e6b9802f80afa9df2bd25952bb42d",
+}
+
+
+def test_countermodels_are_golden():
+    for logic in Logic:
+        lines = []
+        for s, _ in _corpus(logic):
+            if not prove(logic, s).derivable:
+                model = countermodel(logic, s)
+                assert model is not None, (logic, s)
+                lines.append(render(model, "json"))
+        assert _digest(lines) == COUNTERMODEL_GOLDEN[logic], logic

@@ -55,18 +55,38 @@ def test_parse_sequent_loop_example():
     assert s.suc == multiset(neg(box(1, neg(and_(p, q)))))
 
 
+# (parser, text, level) -> (span.start, span.end, message, expected), one row
+# per raise site in parsing.py
+PARSE_ERRORS = [
+    (parse_formula, "p @ q", "L1", (2, 3, "unexpected character '@'", [])),
+    (parse_formula, "p\t&\n#", "L1", (4, 5, "unexpected character '#'", [])),
+    (parse_formula, "p & ", "L1", (4, 4, "unexpected 'end of input'", ["formula"])),
+    (parse_formula, "", "L1", (0, 0, "unexpected 'end of input'", ["formula"])),
+    (parse_formula, "p & )", "L1", (4, 5, "unexpected ')'", ["formula"])),
+    (parse_sequent, "p =>, q", "L1", (4, 5, "unexpected ','", ["formula"])),
+    (parse_formula, "[0]p", "L1", (0, 3, "agent ids start at 1", [])),
+    (parse_formula, "<0>p", "L1", (0, 3, "agent ids start at 1", [])),
+    (parse_formula, "forall p. [1]p", "L1",
+     (0, 6, "second-order construct in an L1 context", [])),
+    (parse_formula, "exists p. p", "L1",
+     (0, 6, "second-order construct in an L1 context", [])),
+    (parse_formula, "(p & q", "L1", (6, 6, "unexpected 'end of input'", [")"])),
+    (parse_formula, "forall p [1]p", "L2", (9, 12, "unexpected '[1]'", ["."])),
+    (parse_formula, "forall . p", "L2", (7, 8, "unexpected '.'", ["ident"])),
+    (parse_sequent, "p, q", "L1", (4, 4, "unexpected 'end of input'", ["seq"])),
+    (parse_formula, "p q", "L1", (2, 3, "trailing input 'q'", ["eof"])),
+    (parse_sequent, "p => q )", "L1", (7, 8, "trailing input ')'", ["eof"])),
+    (parse_sequent, "=> p => q", "L1", (5, 7, "trailing input '=>'", ["eof"])),
+]
+
+
 def test_parse_errors_have_spans():
-    with pytest.raises(ParseError) as e:
-        parse_formula("p & ")
-    assert e.value.span.start == 4
-    with pytest.raises(ParseError):
-        parse_formula("p q")
-    with pytest.raises(ParseError):
-        parse_sequent("p =>, q")
-    with pytest.raises(ParseError):
-        parse_formula("[0]p")
-    with pytest.raises(ParseError):
-        parse_formula("p @ q")
+    for parse, text, level, want in PARSE_ERRORS:
+        with pytest.raises(ParseError) as e:
+            parse(text, level)
+        err = e.value
+        got = (err.span.start, err.span.end, err.message, err.expected)
+        assert got == want, (text, level)
 
 
 def test_render_examples():
