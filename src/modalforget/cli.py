@@ -9,6 +9,7 @@ errors.  Input is given inline, as ``-`` for stdin, or via ``--file``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -37,6 +38,7 @@ def _int_at_least(low: int):
     return integer
 
 
+@functools.cache  # built on first use, then shared by every run() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modalforget",

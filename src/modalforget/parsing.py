@@ -37,49 +37,41 @@ class ParseError(LogicError):
         return f"{self.message} {loc}"
 
 
+# One token per match, after any whitespace; the group that matched gives the
+# kind.  Group 5 takes any other character, which is an error.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<seq>=>)
-      | (?P<imp>->)
-      | (?P<box>\[(?P<boxid>\d+)\])
-      | (?P<dia><(?P<diaid>\d+)>)
-      | (?P<punct>[&|~(),.])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    r"""\s*(?:
+        (=>|->|[&|~(),.])             # 1: symbol
+      | (\[\d+\])                     # 2: box
+      | (<\d+>)                       # 3: diamond
+      | ([A-Za-z_][A-Za-z0-9_]*)      # 4: identifier or keyword
+      | (\S))                         # 5: unexpected character
     """,
     re.VERBOSE,
 )
 
+_SYMBOLS = {"=>": "seq", "->": "imp"}  # every other symbol is its own kind
 _KEYWORDS = {"false", "true", "forall", "exists"}
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
+Token = Tuple[str, str, int, int]  # kind, text, start, end
 
 
 def _tokenize(text: str) -> List[Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(SourceSpan(pos, pos + 1),
-                             f"unexpected character {text[pos]!r}")
-        pos = m.end()
-        if m.lastgroup in ("boxid", "diaid"):
-            kind = "box" if m.group("box") else "dia"
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        word = m.group(group)
+        end = m.end()
+        if group == 1:
+            kind = _SYMBOLS.get(word, word)
+        elif group == 4:
+            kind = word if word in _KEYWORDS else "ident"
+        elif group == 5:
+            raise ParseError(SourceSpan(end - 1, end), f"unexpected character {word!r}")
         else:
-            kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "punct":
-            kind = m.group()
-        if kind == "ident" and m.group() in _KEYWORDS:
-            kind = m.group()
-        tokens.append(Token(kind, m.group(), SourceSpan(m.start(), m.end())))
-    tokens.append(Token("eof", "", SourceSpan(len(text), len(text))))
+            kind = "box" if group == 2 else "dia"
+        tokens.append((kind, word, end - len(word), end))
+    tokens.append(("eof", "", len(text), len(text)))
     return tokens
 
 
@@ -91,96 +83,106 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> str:
+        """Consume the next token and return its text."""
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.span, f"unexpected {tok.text or 'end of input'!r}",
-                             expected=[kind])
+    def error(self, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
+        """A :class:`ParseError` spanning the next token."""
+        _, _, start, end = self.tokens[self.pos]
+        return ParseError(SourceSpan(start, end), message, list(expected))
+
+    def unexpected(self, expected: str) -> ParseError:
+        text = self.tokens[self.pos][1]
+        return self.error(f"unexpected {text or 'end of input'!r}", (expected,))
+
+    def expect(self, kind: str) -> str:
+        if self.peek() != kind:
+            raise self.unexpected(kind)
         return self.advance()
 
-    def _agent(self, tok: Token) -> int:
-        agent = int(tok.text[1:-1])
+    def finish(self) -> None:
+        if self.peek() != "eof":
+            raise self.error(f"trailing input {self.tokens[self.pos][1]!r}", ("eof",))
+
+    def agent(self) -> int:
+        """Consume a ``[i]`` or ``<i>`` token and return i."""
+        agent = int(self.tokens[self.pos][1][1:-1])
         if agent < 1:
-            raise ParseError(tok.span, "agent ids start at 1")
+            raise self.error("agent ids start at 1")
+        self.advance()
         return agent
 
     def formula(self) -> Formula:
         left = self.disjunction()
-        if self.peek().kind == "imp":
+        if self.peek() == "imp":
             self.advance()
             return syntax.imp(left, self.formula())
         return left
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek().kind == "|":
+        while self.peek() == "|":
             self.advance()
             f = syntax.or_(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
-        while self.peek().kind == "&":
+        while self.peek() == "&":
             self.advance()
             f = syntax.and_(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
+        kind = self.peek()
+        if kind == "~":
             self.advance()
             return syntax.neg(self.unary())
-        if tok.kind == "box":
-            self.advance()
-            return syntax.box(self._agent(tok), self.unary())
-        if tok.kind == "dia":
-            self.advance()
-            return syntax.diamond(self._agent(tok), self.unary())
-        if tok.kind in ("forall", "exists"):
+        if kind == "box":
+            return syntax.box(self.agent(), self.unary())
+        if kind == "dia":
+            return syntax.diamond(self.agent(), self.unary())
+        if kind in ("forall", "exists"):
             if self.level == "L1":
-                raise ParseError(tok.span, "second-order construct in an L1 context")
+                raise self.error("second-order construct in an L1 context")
             self.advance()
-            name = self.expect("ident").text
+            name = self.expect("ident")
             self.expect(".")
             body = self.unary()
-            if tok.kind == "forall":
+            if kind == "forall":
                 return syntax.forall(name, body)
             return syntax.exists(name, body)
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "false":
+        kind = self.peek()
+        if kind == "false":
             self.advance()
             return syntax.bot()
-        if tok.kind == "true":
+        if kind == "true":
             self.advance()
             return syntax.top()
-        if tok.kind == "ident":
-            self.advance()
-            return syntax.var(tok.text)
-        if tok.kind == "(":
+        if kind == "ident":
+            return syntax.var(self.advance())
+        if kind == "(":
             self.advance()
             f = self.formula()
             self.expect(")")
             return f
-        raise ParseError(tok.span, f"unexpected {tok.text or 'end of input'!r}",
-                         expected=["formula"])
+        raise self.unexpected("formula")
 
     def formula_list(self, stop_kinds: Tuple[str, ...]) -> List[Formula]:
         out: List[Formula] = []
-        if self.peek().kind in stop_kinds:
+        if self.peek() in stop_kinds:
             return out
         out.append(self.formula())
-        while self.peek().kind == ",":
+        while self.peek() == ",":
             self.advance()
             out.append(self.formula())
         return out
@@ -190,9 +192,7 @@ def parse_formula(text: str, level: str = "L1") -> Formula:
     """Parse a single formula; raises :class:`ParseError` on bad input."""
     parser = _Parser(text, level)
     f = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.span, f"trailing input {tok.text!r}", expected=["eof"])
+    parser.finish()
     return f
 
 
@@ -202,7 +202,5 @@ def parse_sequent(text: str, level: str = "L1") -> Sequent:
     ant = parser.formula_list(("seq",))
     parser.expect("seq")
     suc = parser.formula_list(("eof",))
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.span, f"trailing input {tok.text!r}", expected=["eof"])
+    parser.finish()
     return Sequent(Multiset(ant), Multiset(suc))
