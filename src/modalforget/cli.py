@@ -84,8 +84,13 @@ def _read_input(args) -> str:
     if len(sources) != 1:
         raise ParseErrorlessUsage("exactly one input source is required")
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:  # missing, a directory, unreadable
+            raise ParseErrorlessUsage(str(err)) from err
+        except UnicodeDecodeError as err:
+            raise ParseErrorlessUsage(f"{args.file} is not UTF-8: {err}") from err
     elif args.input == "-":
         text = sys.stdin.read()
     else:
@@ -220,7 +225,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except ParseError as err:
         print(_annotate(getattr(args, "_input_text", ""), err), file=sys.stderr)
         return 2
-    except (ParseErrorlessUsage, FileNotFoundError) as err:
+    except ParseErrorlessUsage as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except LogicError as err:
@@ -233,3 +238,7 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from modalforget.cli import run
@@ -8,7 +11,6 @@ from modalforget.cli import run
 def _run(argv, stdin_text=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
     if stdin_text is not None:
-        import sys
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
@@ -200,8 +202,74 @@ def test_missing_file_exit_two():
     assert code == 2
 
 
+def test_directory_as_file_is_usage_error(tmp_path):
+    code, out, err = _run(["prove", "--logic", "k", "--file", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_non_utf8_file_is_usage_error(tmp_path):
+    path = tmp_path / "sequent.txt"
+    path.write_bytes(b"p => \xff")
+    code, out, err = _run(["prove", "--logic", "k", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(args):
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = _python(["-m", "modalforget.cli", "prove", "--logic", "k", "p => p"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[Init] p => p\n", "")
+
+
 def test_outputs_deterministic():
     argv = ["interpolate", "--logic", "kt", "--forget", "p", "<1>(p & q)"]
     first = _run(argv)
     second = _run(argv)
     assert first == second
+
+
+# Interleaved in one process, each call must behave as if run alone: every
+# subcommand in every format, a usage error, a parse error, and
+# ``--verify-bound`` followed by a call without it.
+REUSE_ARGVS = [
+    ["interpolate", "--logic", "k", "--forget", "p", "--verify-bound", "3", "p & q"],
+    ["interpolate", "--logic", "k", "--forget", "p", "p & q"],
+    ["prove", "--logic", "k", "p & q => p"],
+    ["countermodel", "--logic", "kt", "--format", "json", "p => <1>(p & q)"],
+    ["countermodel", "--logic", "k", "--depth", "-1", "p => [1]p"],
+    ["eliminate", "--logic", "kd", "--format", "latex", "forall p.(p | [1]q)"],
+    ["prove", "--logic", "kt", "--format", "json", "[1]p => [1]p"],
+    ["prove", "--logic", "k", "p => ("],
+    ["interpolate", "--logic", "kd", "--forget", "p", "--side", "pre",
+     "--format", "latex", "p | [1]q"],
+    ["eliminate", "--logic", "k", "forall p.(p | q)"],
+    ["countermodel", "--logic", "kt", "--format", "latex", "p => <1>(p & q)"],
+    ["prove", "--logic", "kd", "--format", "latex", "=> ~[1]false"],
+    ["interpolate", "--logic", "kt", "--forget", "p", "--format", "json",
+     "<1>(p & q)"],
+    ["eliminate", "--logic", "kt", "--format", "json", "forall p. [1]p"],
+    ["countermodel", "--logic", "k", "p => p"],
+]
+_ALONE = """import sys
+from modalforget.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+def test_repeated_runs_match_runs_alone(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    interleaved = [_run(argv) for argv in REUSE_ARGVS]
+    for argv, got in zip(REUSE_ARGVS, interleaved):
+        alone = _python(["-c", _ALONE, *argv])
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert {code for code, _, _ in interleaved} == {0, 1, 2}
