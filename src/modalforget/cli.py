@@ -2,8 +2,8 @@
 
 Subcommands: ``prove``, ``interpolate``, ``eliminate``, ``countermodel``.
 Exit codes: 0 success (derivable / model found / result computed), 1 negative
-verdict (not derivable / no model), 2 parse or usage errors, 3 internal
-errors.  Input is given inline, as ``-`` for stdin, or via ``--file``.
+verdict (not derivable / no model / an interpolation clause failed under
+``--verify-bound``), 2 parse or usage errors, 3 internal errors.  Input is given inline, as ``-`` for stdin, or via ``--file``.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _cmd_interpolate(args) -> int:
             print(f"implication: {'ok' if report.implication_ok else 'FAILED'}")
             print(f"extremality: {'ok' if report.extremality_ok else 'FAILED'} "
                   f"(checked up to weight {report.extremality_checked_up_to})")
-    return 0
+    return 0 if report is None or report.all_ok else 1
 
 
 def _cmd_eliminate(args) -> int:

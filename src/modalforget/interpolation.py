@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .calculus import Logic, invertible_step, prove
+from .semantics import KripkeModel, countermodel, eval_formula
 from .syntax import (
-    Formula, Multiset, Sequent, TSequent,
+    _AND, _OR, Formula, Multiset, Sequent, TSequent,
     and_, big_or, bot, box, diamond, flats, imp, neg, or_, require_first_order,
     t_measure, top, var,
 )
@@ -234,11 +235,17 @@ def _candidates_up_to(weight_bound: int, names: Sequence[str],
 
 
 def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> InterpolantReport:
-    """Compute the interpolant and brute-force check the interpolation clauses.
+    """Compute the interpolant and check the interpolation clauses.
 
     The extremality clause quantifies over all partner formulas; it is checked
     against every formula over the kept vocabulary of the subject (plus its
-    agents) up to the weight bound.
+    agents) up to the weight bound, by increasing weight, so both halves of a
+    binary candidate come first.  Three exact shortcuts save ``prove`` calls
+    (post side; the pre side reverses every entailment and swaps ``&`` and
+    ``|``): ``l & r`` is skipped, as its clause follows from those of ``l`` and
+    ``r``; ``l | r`` is entailed once ``l`` or ``r`` is known to be; and the
+    countermodel of a failed subject entailment refutes later ones, being
+    reflexive (KT) or serial (KD) for every agent a candidate can use.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be at least 1")
@@ -246,21 +253,40 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
     side = post_interpolant if post else pre_interpolant
     interp = side(logic, subject, problem.forget)
 
-    def entails(a: Formula, b: Formula) -> bool:
-        """Derivability of ``a => b``; the pre side reverses every entailment."""
+    def sequent(a: Formula, b: Formula) -> Sequent:
+        """The entailment ``a => b``; the pre side reverses every entailment."""
         if not post:
             a, b = b, a
-        return prove(logic, Sequent(Multiset((a,)), Multiset((b,)))).derivable
+        return Sequent(Multiset((a,)), Multiset((b,)))
 
-    implication_ok = entails(subject, interp)
+    implication_ok = prove(logic, sequent(subject, interp)).derivable
     vocab_ok = not (interp.free_vars & set(problem.forget))
 
     names = sorted(subject.free_vars - set(problem.forget))
     agents = sorted({f.agent for f in subject.boxed_subformulas})
+    meet, join = (_AND, _OR) if post else (_OR, _AND)
+    models: List[KripkeModel] = []  # the subject holds at each root (fails, pre side)
+    by_subject, by_interp = set(), set()
+
+    def entails(x: Formula, known: set, c: Formula) -> bool:
+        """Whether ``x`` entails ``c``; ``known`` collects the candidates it does."""
+        if not (c.tag == join and (c.left in known or c.right in known)):
+            if x is subject and any(eval_formula(m, m.root, c) != post for m in models):
+                return False
+            s = sequent(x, c)
+            if not prove(logic, s).derivable:
+                model = countermodel(logic, s) if x is subject else None
+                if model is not None and eval_formula(model, model.root, subject) == post:
+                    models.append(model)
+                return False
+        known.add(c)
+        return True
+
     extremality_ok = True
     for batch in _candidates_up_to(weight_bound, names, agents)[1:]:
         for c in batch:
-            if entails(subject, c) and not entails(interp, c):
+            if (c.tag != meet and entails(subject, by_subject, c)
+                    and not entails(interp, by_interp, c)):
                 extremality_ok = False
     return InterpolantReport(
         interpolant=interp,

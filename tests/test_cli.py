@@ -5,6 +5,9 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
+from modalforget import interpolation, or_, var
 from modalforget.cli import run
 
 
@@ -85,6 +88,23 @@ def test_interpolate_json():
     obj = json.loads(out)
     assert obj["interpolant"] == {"op": "var", "name": "q"}
     assert obj["report"]["implication_ok"] is True
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_verify_clause_exits_one(monkeypatch, fmt):
+    # ``I | q`` is implied by ``p & r`` but no longer implies ``r``.
+    true_post = interpolation.post_interpolant
+    monkeypatch.setattr(interpolation, "post_interpolant",
+                        lambda logic, a, forget: or_(true_post(logic, a, forget), var("q")))
+    code, out, _ = _run(["interpolate", "--logic", "k", "--forget", "p",
+                         "--side", "post", "--format", fmt,
+                         "--verify-bound", "3", "p & r"])
+    assert code == 1
+    if fmt == "json":
+        report = json.loads(out)["report"]
+        assert report["implication_ok"] is True and report["extremality_ok"] is False
+    else:
+        assert "implication: ok" in out and "extremality: FAILED" in out
 
 
 def test_interpolate_raw_sequent():

@@ -117,3 +117,25 @@ def test_countermodels_are_models_of_the_logic():
                     if logic is Logic.KD:
                         assert any(u == w for u, _ in edges), (logic, s, agent, w)
     assert models == 685  # 233 K, 233 KD, 219 KT
+
+
+def test_extremality_needs_at_most_half_the_prove_calls(monkeypatch):
+    """On criterion 9's first 30 problems (seed 105, bound 5) the shortcuts
+    leave at most half the ``prove`` calls of the brute-force loop."""
+    rng = random.Random(105)
+    problems = []
+    for _ in range(30):  # criterion 9 draws its K, pre-side problems first
+        subject = randgen.formula(rng, rng.randint(2, 7), names=("p", "q"),
+                                  agents=(1,), max_box_depth=2)
+        problems.append(InterpolationProblem(Logic.K, ("p",), subject, "pre"))
+    calls = [0]
+
+    def counting_prove(*args):
+        calls[0] += 1
+        return prove(*args)
+
+    monkeypatch.setattr(interpolation, "prove", counting_prove)
+    flags = [_flags(verify_uniform(p, 5)) for p in problems]
+    new, calls[0] = calls[0], 0
+    assert flags == [_reference_report(p, 5) for p in problems]
+    assert new <= calls[0] // 2, (new, calls[0])
