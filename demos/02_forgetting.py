@@ -42,9 +42,10 @@ boxed = parse_formula("[1](p -> q)")
 print("forget p in [1](p -> q):", render(post_interpolant(K, boxed, ["p"]), "text"))
 print()
 
-# verify_uniform brute-forces the defining clauses: vocabulary, the main
+# verify_uniform checks the defining clauses: vocabulary, the main
 # implication, and extremality against every candidate partner formula over
-# the kept vocabulary up to a weight bound.
+# the kept vocabulary up to a weight bound.  It proves only the entailments
+# that smaller candidates and kept countermodels leave open.
 problem = InterpolationProblem(KT, ("p",), parse_formula("<1>(p & q)"), "post")
 report = verify_uniform(problem, weight_bound=5)
 print("KT <1>(p & q), forget p:", render(report.interpolant, "text"))

@@ -3,7 +3,8 @@
 Subcommands: ``prove``, ``interpolate``, ``eliminate``, ``countermodel``.
 Exit codes: 0 success (derivable / model found / result computed), 1 negative
 verdict (not derivable / no model / an interpolation clause failed under
-``--verify-bound``), 2 parse or usage errors, 3 internal errors.  Input is given inline, as ``-`` for stdin, or via ``--file``.
+``--verify-bound``), 2 parse or usage errors, 3 internal errors.  Input is
+given inline, as ``-`` for stdin, or via ``--file``.
 """
 
 from __future__ import annotations
