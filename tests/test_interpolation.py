@@ -273,6 +273,57 @@ def test_forget_distinct_variables_required():
         post_interpolant(K, p, ["p", "p"])
 
 
+def _tree_size(f, memo):
+    """Node count of ``f`` written as a tree, counted over its shared DAG."""
+    size = memo.get(f)
+    if size is None:
+        size = 1 + sum(_tree_size(k, memo) for k in (f.sub, f.left, f.right)
+                       if k is not None)
+        memo[f] = size
+    return size
+
+
+_FOLD_CAP = 3000  # tree nodes; a KT step on a larger input can run out of memory
+
+
+def _fold(step, logic, a, forget):
+    """The reference for forgetting a set: forget one variable at a time,
+    right to left, each step running the table on the previous result.
+    None once a result passes ``_FOLD_CAP`` tree nodes."""
+    for name in reversed(list(forget)):
+        a = step(logic, name, a)
+        if _tree_size(a, {}) > _FOLD_CAP:
+            return None
+    return a
+
+
+def _fold_post(logic, a, forget):
+    return _fold(exists_forget, logic, a, forget)
+
+
+def _fold_pre(logic, b, forget):
+    return _fold(forget_formula, logic, b, forget)
+
+
+def test_forgetting_a_set_is_equivalent_to_the_fold():
+    rng = random.Random(7)
+    compared = 0
+    for logic in Logic:
+        for one_pass, step, fold in ((post_interpolant, exists_forget, _fold_post),
+                                     (pre_interpolant, forget_formula, _fold_pre)):
+            for _ in range(150):
+                a = randgen.formula(rng, rng.randint(3, 7))
+                forget = rng.sample(randgen.VARS, k=rng.choice((2, 3)))
+                assert one_pass(logic, a, forget[:1]) is step(logic, forget[0], a)
+                expected = fold(logic, a, forget)
+                if expected is not None:  # prove walks the fold's tree
+                    out = one_pass(logic, a, forget)
+                    assert not (free_vars(out) & set(forget))
+                    assert _interderivable(logic, out, expected), (logic, a, forget)
+                    compared += 1
+    assert compared >= 850, compared
+
+
 # Specialization and substitution lemmas
 
 

@@ -25,9 +25,9 @@ def ladder(rung):
     return a
 
 
-def _table_calls(logic, a):
+def _table_calls(logic, a, forget=("p",)):
     before = AUDIT["table_calls_checked"]
-    post_interpolant(logic, a, ["p"])
+    post_interpolant(logic, a, forget)
     return AUDIT["table_calls_checked"] - before
 
 
@@ -104,6 +104,14 @@ def test_k_ladder_table_calls_grow_linearly():
     steps = [b - a for a, b in zip(calls, calls[1:])]
     assert len(set(steps[1:])) == 1, calls  # a constant step: linear growth
     assert calls[7] <= 200, calls  # rung 8 made 28,430 calls unmemoized
+
+
+def test_forgetting_two_variables_is_one_table_pass():
+    # Folding one variable at a time reran the table on its own output:
+    # 68,344 calls here, and KT rung 2 ran out of memory.
+    assert _table_calls(K, ladder(5), ("p", "q")) <= 100
+    out = post_interpolant(KT, ladder(2), ["p", "q"])
+    assert out.free_vars <= {"r"}
 
 
 def test_table_memo_is_per_call():
