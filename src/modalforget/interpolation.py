@@ -52,11 +52,12 @@ def _audit_call(parent, child) -> None:
         )
 
 
-def _vocabulary_check(result: Formula, p: str, parts: Sequence[Multiset]) -> Formula:
+def _vocabulary_check(result: Formula, forget: frozenset,
+                      parts: Sequence[Multiset]) -> Formula:
     used = result.free_vars
     if not used:  # a variable-free entry needs no check
         return result
-    allowed = frozenset().union(*(f.free_vars for ms in parts for f in ms.counts)) - {p}
+    allowed = frozenset().union(*(f.free_vars for ms in parts for f in ms.counts)) - forget
     if not used <= allowed:
         raise AssertionError(
             f"interpolant {result!r} uses variables outside {sorted(allowed)}"
@@ -72,7 +73,7 @@ def forget_kkd(p: str, gamma: Multiset, delta: Multiset) -> Formula:
     and never mentions ``p``.
     """
     require_first_order(Sequent(gamma, delta).formulas())
-    return _Table(p, False).entry(_EMPTY, gamma, delta)
+    return _Table(frozenset((p,)), False).entry(_EMPTY, gamma, delta)
 
 
 def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formula:
@@ -85,19 +86,31 @@ def forget_t(p: str, store: Multiset, gamma: Multiset, delta: Multiset) -> Formu
     outermost-boxed raises :class:`StoreError`.
     """
     require_first_order(TSequent(store, gamma, delta).formulas())
-    return _Table(p, True).entry(store, gamma, delta)
+    return _Table(frozenset((p,)), True).entry(store, gamma, delta)
 
 
 class _Table:
-    """One top-level forgetting call: the table, with the KT unfolding line
-    when ``kt`` holds, and its memo, which is dropped with the call.
+    """One top-level forgetting call: the table for the variable set
+    ``forget``, with the KT unfolding line when ``kt`` holds, and its memo,
+    which is dropped with the call.
 
     K/KD keep the store empty and measure calls by weight; the memo is keyed
     by (Γ, Δ) for K/KD and by (store, Γ, Δ) for KT.
+
+    One pass forgets a whole set P.  An entry E of Γ ⇒ Δ makes (i) Γ, E ⇒ Δ
+    derivable, and (ii) Π ⇒ Σ, E derivable whenever Γ, Π ⇒ Δ, Σ is and the
+    partner Π ⇒ Σ mentions no member of P.  The proof of (ii) (Pitts 1992;
+    Bílková 2007; the source paper) follows a derivation of Γ, Π ⇒ Δ, Σ and
+    needs one fact about a forgotten variable: the partner does not mention
+    it.  So an axiom on it has both occurrences in Γ ⇒ Δ (the ``top()``
+    line), and at the critical stage it is idle in every rule the partner
+    can use.  That holds for each member of P at once, so the critical stage
+    drops them all; dropping disjuncts only strengthens E, which keeps (i).
     """
 
-    def __init__(self, p: str, kt: bool):
-        self.p, self.pv, self.kt = p, var(p), kt
+    def __init__(self, forget: frozenset, kt: bool):
+        self.forget, self.kt = forget, kt
+        self.atoms = tuple(var(p) for p in sorted(forget))
         self.memo: Dict[tuple, Formula] = {}
 
     def entry(self, store: Multiset, gamma: Multiset, delta: Multiset,
@@ -110,14 +123,15 @@ class _Table:
         result = self.memo.get(key)
         if result is None:
             result = self._compute(store, gamma, delta, m)
-            result = _vocabulary_check(result, self.p, key)
+            result = _vocabulary_check(result, self.forget, key)
             self.memo[key] = result
         return result
 
     def _compute(self, store: Multiset, gamma: Multiset, delta: Multiset, m) -> Formula:
-        pv, kt = self.pv, self.kt
-        if pv in gamma and pv in delta:
-            return top()
+        atoms, kt = self.atoms, self.kt
+        for pv in atoms:
+            if pv in gamma and pv in delta:
+                return top()
         if _BOT in gamma:
             return top()
         step = invertible_step(gamma, delta)
@@ -133,9 +147,10 @@ class _Table:
                 if f.is_box:  # unfold into the store, as the reflexivity rule does
                     return self.entry(store.add(f), gamma.remove(f).add(f.sub), delta, m)
 
-        # Critical sequent: occurrences of the forgotten variable are dropped.
-        g = gamma.remove_all(pv)
-        d = delta.remove_all(pv)
+        # Critical sequent: occurrences of the forgotten variables are dropped.
+        g, d = gamma, delta
+        for pv in atoms:
+            g, d = g.remove_all(pv), d.remove_all(pv)
         boxes = store if kt else g  # the store for KT, the antecedent for K/KD
         disjuncts: List[Formula] = [q for q in d.members() if q.is_atom]
         disjuncts += [neg(r) for r in g.members() if r.is_atom]
@@ -153,32 +168,26 @@ class _Table:
 
 def forget_formula(logic: Logic, p: str, b: Formula) -> Formula:
     """Forget ``p`` in a single succedent formula: the strongest helper form."""
-    if logic is Logic.KT:
-        return forget_t(p, Multiset(), Multiset(), Multiset((b,)))
-    return forget_kkd(p, Multiset(), Multiset((b,)))
+    return pre_interpolant(logic, b, (p,))
 
 
 def exists_forget(logic: Logic, p: str, b: Formula) -> Formula:
     """The dual interpolant: negate, forget, negate."""
-    return neg(forget_formula(logic, p, neg(b)))
+    return post_interpolant(logic, b, (p,))
 
 
 def post_interpolant(logic: Logic, a: Formula, forget: Sequence[str]) -> Formula:
     """Strongest consequence of ``a`` not mentioning the forgotten variables."""
-    _check_distinct(forget)
-    out = a
-    for p in reversed(list(forget)):
-        out = exists_forget(logic, p, out)
-    return out
+    return neg(pre_interpolant(logic, neg(a), forget)) if forget else a
 
 
 def pre_interpolant(logic: Logic, b: Formula, forget: Sequence[str]) -> Formula:
     """Weakest antecedent of ``b`` not mentioning the forgotten variables."""
     _check_distinct(forget)
-    out = b
-    for p in reversed(list(forget)):
-        out = forget_formula(logic, p, out)
-    return out
+    if not forget:
+        return b
+    require_first_order((b,))
+    return _Table(frozenset(forget), logic is Logic.KT).entry(_EMPTY, _EMPTY, Multiset((b,)))
 
 
 def _check_distinct(forget: Sequence[str]) -> None:
