@@ -3,7 +3,8 @@
 Subcommands: ``prove``, ``interpolate``, ``eliminate``, ``countermodel``.
 Exit codes: 0 success (derivable / model found / result computed), 1 negative
 verdict (not derivable / no model / an interpolation clause failed under
-``--verify-bound``), 2 parse or usage errors, 3 internal errors.  Input is
+``--verify-bound``), 2 parse or usage errors and input nested too deeply for
+the recursive engine, 3 internal errors.  Input is
 given inline, as ``-`` for stdin, or via ``--file``.
 """
 
@@ -232,6 +233,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     except LogicError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except RecursionError:  # flat chains too, such as p & p & ... & p
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     except Exception as err:  # pragma: no cover - defensive
         print(f"internal error: {err}", file=sys.stderr)
         return 3

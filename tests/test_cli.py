@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -107,6 +108,14 @@ def test_failed_verify_clause_exits_one(monkeypatch, fmt):
         assert "implication: ok" in out and "extremality: FAILED" in out
 
 
+@pytest.mark.parametrize("logic", ["k", "kd", "kt"])
+def test_interpolate_two_variables_verifies(logic):
+    code, out, _ = _run(["interpolate", "--logic", logic, "--forget", "p,q",
+                         "--verify-bound", "4", "<1>(p & q) | [2]r"])
+    assert code == 0
+    assert "extremality: ok" in out
+
+
 def test_interpolate_raw_sequent():
     code, out, _ = _run(["interpolate", "--logic", "k", "--forget", "p",
                          "--raw", "p, q => p"])
@@ -202,6 +211,14 @@ def test_negative_depth_is_usage_error():
     assert "--depth" in err and "at least 0" in err
 
 
+@pytest.mark.parametrize("text", ["~" * 20_000 + "p => q",
+                                  " & ".join(["p"] * 20_000) + " => q"],
+                         ids=["negation-chain", "conjunction-chain"])
+def test_deep_input_is_usage_error(text):
+    code, out, err = _run(["prove", "--logic", "k", text])
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
 def test_stdin_input(monkeypatch):
     code, out, _ = _run(["prove", "--logic", "k", "-"],
                         stdin_text="p => p", monkeypatch=monkeypatch)
@@ -237,6 +254,23 @@ def test_non_utf8_file_is_usage_error(tmp_path):
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _readme_examples():
+    """The ``modalforget ...`` lines of README's Examples block."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("modalforget ")]
+
+
+def test_readme_examples_run():
+    examples = _readme_examples()
+    assert len(examples) >= 6
+    for line in examples:
+        command, _, comment = line.partition("#")
+        code, _, err = _run(shlex.split(command)[1:])
+        assert code == (1 if comment.strip().startswith("exit 1") else 0), (line, err)
 
 
 def _python(args):
