@@ -27,6 +27,13 @@ pre = pre_interpolant(K, b, ["p"])
 print("forget p in p | q (pre):", render(pre, "text"))
 print()
 
+# A set of variables is forgotten in one run of the table, not one variable
+# at a time: <1>(p & q) | [2]r keeps only what it says about r.
+c = parse_formula("<1>(p & q) | [2]r")
+print("forget p, q in <1>(p & q) | [2]r (post):",
+      render(post_interpolant(K, c, ["p", "q"]), "text"))
+print()
+
 # The raw table works on whole sequents.  This is the engine behind both
 # directions; diamonds appear for antecedent boxes, boxes for succedent ones.
 gamma = Multiset([parse_formula("[1](q & p)"), parse_formula("[2](s | r)"),

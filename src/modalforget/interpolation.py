@@ -1,17 +1,19 @@
-"""Syntactic uniform interpolation: forgetting a propositional variable.
+"""Syntactic uniform interpolation: forgetting a set of propositional variables.
 
-One store-aware table serves all three logics.  ``forget_kkd`` runs it on a
-plain sequent for K and KD (the store stays empty and calls are measured by
-weight); ``forget_t`` runs it on a T-sequent for KT, which adds one line
+One store-aware table serves all three logics, and one run of it forgets a
+whole set: ``pre_interpolant`` is the table on ``=> b`` and
+``post_interpolant`` the negated table on ``=> ~a``.  ``forget_kkd`` runs it
+on a plain sequent for K and KD (the store stays empty and calls are measured
+by weight); ``forget_t`` runs it on a T-sequent for KT, which adds one line
 unfolding an antecedent box into the store, as the reflexivity rule of the
 loop-free KT calculus does.  The table decomposes the sequent through the
 propositional rule table of :mod:`calculus`, conjoining the entries of a
 two-premise rule, until the sequent is critical, then emits one big
 disjunction: succedent atoms, negated antecedent atoms, one diamond per box
 of the box source (the antecedent for K/KD, the store for KT) and one box
-per succedent box occurrence.  Occurrences of the forgotten variable itself
-are dropped at the critical stage; when nothing at all remains the result is
-bottom.
+per succedent box occurrence.  Occurrences of the forgotten variables
+themselves are dropped at the critical stage; when nothing at all remains the
+result is bottom.
 
 The disjunct order is fixed (succedent atoms, antecedent atoms, diamonds,
 boxes, each group in canonical formula order) and duplicates are kept, so
