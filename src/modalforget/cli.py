@@ -4,8 +4,8 @@ Subcommands: ``prove``, ``interpolate``, ``eliminate``, ``countermodel``.
 Exit codes: 0 success (derivable / model found / result computed), 1 negative
 verdict (not derivable / no model / an interpolation clause failed under
 ``--verify-bound``), 2 parse or usage errors and input nested too deeply for
-the recursive engine, 3 internal errors.  Input is
-given inline, as ``-`` for stdin, or via ``--file``.
+the recursive engine, 3 internal errors.  Input is given inline, as ``-`` for
+stdin, or via ``--file``.
 """
 
 from __future__ import annotations

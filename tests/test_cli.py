@@ -256,16 +256,10 @@ def test_non_utf8_file_is_usage_error(tmp_path):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _readme_examples():
-    """The ``modalforget ...`` lines of README's Examples block."""
-    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
-    block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("modalforget ")]
-
-
 def test_readme_examples_run():
-    examples = _readme_examples()
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("modalforget ")]
     assert len(examples) >= 6
     for line in examples:
         command, _, comment = line.partition("#")
