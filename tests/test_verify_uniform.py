@@ -9,6 +9,7 @@ sequent.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -139,3 +140,20 @@ def test_extremality_needs_at_most_half_the_prove_calls(monkeypatch):
     new, calls[0] = calls[0], 0
     assert flags == [_reference_report(p, 5) for p in problems]
     assert new <= calls[0] // 2, (new, calls[0])
+
+
+def test_extremality_memory_stays_small():
+    """A KT subject whose searches reach thousands of sequents per entailment
+    keeps its peak allocation under 1 MB: no search memo outlives the
+    candidate it was made for.  A warm-up call first interns the candidate
+    formulas, which live on in the process-wide intern table."""
+    subject = box(1, or_(box(1, var("q")), var("q")))  # [1]([1]q | q)
+    problem = InterpolationProblem(Logic.KT, ("p",), subject, "post")
+    assert verify_uniform(problem, 5).all_ok
+    tracemalloc.start()
+    try:
+        verify_uniform(problem, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
