@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, False)
     p.add_argument("--forget", required=True,
                    help="comma-separated variables to forget, e.g. p,q")
-    p.add_argument("--side", choices=["pre", "post"], default="post")
+    p.add_argument("--side", choices=["pre", "post"], default=None,
+                   help="which interpolant to compute (default: post)")
     p.add_argument("--verify-bound", type=_int_at_least(1), default=None,
                    help="brute-force check the interpolant up to this weight")
     p.add_argument("--raw", action="store_true",
@@ -139,6 +140,9 @@ def _cmd_interpolate(args) -> int:
     if args.raw:
         if len(forget) != 1:
             raise ParseErrorlessUsage("--raw takes exactly one forgotten variable")
+        for flag, value in (("--side", args.side), ("--verify-bound", args.verify_bound)):
+            if value is not None:
+                raise ParseErrorlessUsage(f"--raw does not take {flag}")
         sequent = parse_sequent(text)
         if logic is Logic.KT:
             interp = forget_t(forget[0], Multiset(), sequent.ant, sequent.suc)
@@ -146,13 +150,14 @@ def _cmd_interpolate(args) -> int:
             interp = forget_kkd(forget[0], sequent.ant, sequent.suc)
     else:
         subject = parse_formula(text)
+        side = args.side or "post"
         if args.verify_bound is not None:
-            problem = InterpolationProblem(logic, tuple(forget), subject, args.side)
+            problem = InterpolationProblem(logic, tuple(forget), subject, side)
             report = verify_uniform(problem, args.verify_bound)
             interp = report.interpolant
         else:
-            side = post_interpolant if args.side == "post" else pre_interpolant
-            interp = side(logic, subject, forget)
+            interpolant = post_interpolant if side == "post" else pre_interpolant
+            interp = interpolant(logic, subject, forget)
     if args.format == "json":
         obj = {"interpolant": formula_to_obj(interp)}
         if report is not None:

@@ -321,3 +321,12 @@ def test_repeated_runs_match_runs_alone(monkeypatch):
         alone = _python(["-c", _ALONE, *argv])
         assert got == (alone.returncode, alone.stdout, alone.stderr), argv
     assert {code for code, _, _ in interleaved} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("flags", [["--verify-bound", "3"], ["--side", "pre"],
+                                   ["--side", "post"]])
+def test_interpolate_raw_rejects_interpolant_options(flags):
+    code, out, err = _run(["interpolate", "--logic", "k", "--forget", "p",
+                           "--raw", *flags, "p => q"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --raw does not take " + flags[0]), err
