@@ -7,7 +7,9 @@ the premise shapes.  The proof search, the naive KT oracle,
 
 One search serves all three logics.  ``prove`` decides K and KD sequents
 directly and routes KT through the loop-free T-sequent calculus
-(``prove_tplus``); the two are equipollent, so the verdict is exact.  The KT
+(``prove_tplus``); the two are equipollent, so the verdict is exact.
+``critical_leaves`` applies only the search's eager rules, and ``derivable``
+decides a sequent with a memo the caller keeps across calls.  The KT
 calculus is the K calculus plus one eager rule, BoxTPlus, which unfolds an
 antecedent box into the store; the succedent-box rule then takes its boxes
 from the store for KT and from the antecedent for K/KD, and BoxD runs for KD
@@ -245,6 +247,52 @@ def prove(logic: Logic, s: Sequent) -> ProofResult:
 def prove_tplus(t: TSequent) -> ProofResult:
     """Decide derivability of a T-sequent in the loop-free calculus."""
     return _search(Logic.KT, t)
+
+
+def critical_leaves(logic: Logic, s: Sequent) -> Tuple:
+    """The leaves the eager rules reduce ``s`` to, axioms dropped.
+
+    The eager rules are those the search applies without backtracking, in
+    its order: the propositional rule of ``invertible_step``, then, for KT
+    only, the unfolding of the first antecedent box.  For KT the split
+    starts, as ``prove`` does, from ``| s`` with an empty store, so the
+    leaves are T-sequents.  They come in the order a depth-first walk first
+    reaches them, each once; a sequent reached again is not split again.
+    Every edge is audited against the well-order.
+    """
+    require_first_order(s.formulas())
+    kt = logic is Logic.KT
+    stack = [TSequent(Multiset(), s.ant, s.suc) if kt else s]
+    seen, leaves = set(), []
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        if _init_derivation(t) is not None:
+            continue
+        step = invertible_step(t.ant, t.suc)
+        if step is not None:
+            premises = [t.with_sides(ant, suc) for ant, suc in step[3]]
+        else:
+            f = next((f for f in t.ant if f.is_box), None) if kt else None
+            if f is None:
+                leaves.append(t)
+                continue
+            premises = [unfold_box(t, f)]
+        m = t.measure()
+        for p in reversed(premises):
+            _audit_edge(m, p.measure())
+            stack.append(p)
+    return tuple(leaves)
+
+
+def derivable(logic: Logic, s, memo: Dict) -> bool:
+    """Whether ``s`` (a T-sequent for KT) is derivable, searched with the
+    caller's ``memo``: calls that share a memo share the sequents decided."""
+    search = _Search(logic)
+    search.memo = memo
+    return search.run(s) is not None
 
 
 def _search(logic: Logic, s) -> ProofResult:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .calculus import Logic, invertible_step, prove
+from .calculus import Logic, critical_leaves, derivable, invertible_step, prove
 from .semantics import KripkeModel, countermodel, eval_formula
 from .syntax import (
     _AND, _OR, Formula, Multiset, Sequent, TSequent,
@@ -251,12 +251,27 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
     The extremality clause quantifies over all partner formulas; it is checked
     against every formula over the kept vocabulary of the subject (plus its
     agents) up to the weight bound, by increasing weight, so both halves of a
-    binary candidate come first.  Three exact shortcuts save ``prove`` calls
-    (post side; the pre side reverses every entailment and swaps ``&`` and
-    ``|``): ``l & r`` is skipped, as its clause follows from those of ``l`` and
-    ``r``; ``l | r`` is entailed once ``l`` or ``r`` is known to be; and the
+    binary candidate come first.  Three exact shortcuts save searches (post
+    side; the pre side reverses every entailment and swaps ``&`` and ``|``):
+    ``l & r`` is skipped, as its clause follows from those of ``l`` and ``r``;
+    ``l | r`` is entailed once ``l`` or ``r`` is known to be; and the
     countermodel of a failed subject entailment refutes later ones, being
     reflexive (KT) or serial (KD) for every agent a candidate can use.
+
+    The subject and the interpolant are each split once, by
+    ``critical_leaves``, into the leaves of ``x =>`` (post side) or ``=> x``
+    (pre side).  Then ``x`` entails a candidate ``c`` exactly when every leaf
+    with ``c`` added (to the succedent, post side; to the antecedent, pre
+    side) is derivable:
+
+    - the eager rules are invertible and share their context, so ``c`` rides
+      along as an idle formula into every premise, and the sequent with ``c``
+      is derivable exactly when each premise with ``c`` is;
+    - an axiom leaf stays an axiom when ``c`` is added.
+
+    The search relies on the same two facts when it applies these rules
+    without backtracking.  One search memo serves both entailments of a
+    candidate and is dropped with it.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be at least 1")
@@ -273,20 +288,31 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
     implication_ok = prove(logic, sequent(subject, interp)).derivable
     vocab_ok = not (interp.free_vars & set(problem.forget))
 
+    def split(x: Formula) -> tuple:
+        one = Multiset((x,))
+        root = Sequent(one, _EMPTY) if post else Sequent(_EMPTY, one)
+        return critical_leaves(logic, root)
+
+    def with_partner(leaf, c: Formula):
+        """``leaf`` with ``c`` added where the entailment puts it."""
+        if post:
+            return leaf.with_sides(leaf.ant, leaf.suc.add(c))
+        return leaf.with_sides(leaf.ant.add(c), leaf.suc)
+
+    leaves = {subject: split(subject), interp: split(interp)}
     names = sorted(subject.free_vars - set(problem.forget))
     agents = sorted({f.agent for f in subject.boxed_subformulas})
     meet, join = (_AND, _OR) if post else (_OR, _AND)
     models: List[KripkeModel] = []  # the subject holds at each root (fails, pre side)
     by_subject, by_interp = set(), set()
 
-    def entails(x: Formula, known: set, c: Formula) -> bool:
+    def entails(x: Formula, known: set, c: Formula, memo: dict) -> bool:
         """Whether ``x`` entails ``c``; ``known`` collects the candidates it does."""
         if not (c.tag == join and (c.left in known or c.right in known)):
             if x is subject and any(eval_formula(m, m.root, c) != post for m in models):
                 return False
-            s = sequent(x, c)
-            if not prove(logic, s).derivable:
-                model = countermodel(logic, s) if x is subject else None
+            if not all(derivable(logic, with_partner(t, c), memo) for t in leaves[x]):
+                model = countermodel(logic, sequent(x, c)) if x is subject else None
                 if model is not None and eval_formula(model, model.root, subject) == post:
                     models.append(model)
                 return False
@@ -296,8 +322,11 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
     extremality_ok = True
     for batch in _candidates_up_to(weight_bound, names, agents)[1:]:
         for c in batch:
-            if (c.tag != meet and entails(subject, by_subject, c)
-                    and not entails(interp, by_interp, c)):
+            if c.tag == meet:
+                continue
+            memo: dict = {}  # shared by the candidate's two entailments
+            if (entails(subject, by_subject, c, memo)
+                    and not entails(interp, by_interp, c, memo)):
                 extremality_ok = False
     return InterpolantReport(
         interpolant=interp,

@@ -15,7 +15,7 @@ import pytest
 
 import randgen
 from modalforget import (
-    InterpolationProblem, Logic, Multiset, Sequent, and_, bot, box,
+    InterpolationProblem, Logic, Multiset, Sequent, and_, bot, box, calculus,
     countermodel, eval_formula, interpolation, neg, or_, prove, top, var,
     verify_uniform,
 )
@@ -141,6 +141,23 @@ def test_extremality_needs_at_most_half_the_prove_calls(monkeypatch):
     assert flags == [_reference_report(p, 5) for p in problems]
     assert new <= calls[0] // 2, (new, calls[0])
 
+
+
+def test_extremality_audits_few_search_edges():
+    """On the same 30 problems the extremality check splits the subject and
+    the interpolant once each, rather than decomposing them again for every
+    candidate, so at most 7,500 search edges are audited in all."""
+    rng = random.Random(105)
+    problems = []
+    for _ in range(30):
+        subject = randgen.formula(rng, rng.randint(2, 7), names=("p", "q"),
+                                  agents=(1,), max_box_depth=2)
+        problems.append(InterpolationProblem(Logic.K, ("p",), subject, "pre"))
+    before = calculus.AUDIT["edges_checked"]
+    for problem in problems:
+        assert verify_uniform(problem, 5).all_ok, problem
+    edges = calculus.AUDIT["edges_checked"] - before
+    assert edges <= 7500, edges
 
 def test_extremality_memory_stays_small():
     """A KT subject whose searches reach thousands of sequents per entailment
