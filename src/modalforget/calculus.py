@@ -287,7 +287,7 @@ def critical_leaves(logic: Logic, s: Sequent) -> Tuple:
     return tuple(leaves)
 
 
-def derivable(logic: Logic, s, memo: Dict) -> bool:
+def derivable(logic: Logic, s: Union[Sequent, TSequent], memo: Dict) -> bool:
     """Whether ``s`` (a T-sequent for KT) is derivable, searched with the
     caller's ``memo``: calls that share a memo share the sequents decided."""
     search = _Search(logic)

@@ -142,7 +142,6 @@ def test_extremality_needs_at_most_half_the_prove_calls(monkeypatch):
     assert new <= calls[0] // 2, (new, calls[0])
 
 
-
 def test_extremality_audits_few_search_edges():
     """On the same 30 problems the extremality check splits the subject and
     the interpolant once each, rather than decomposing them again for every
@@ -158,6 +157,7 @@ def test_extremality_audits_few_search_edges():
         assert verify_uniform(problem, 5).all_ok, problem
     edges = calculus.AUDIT["edges_checked"] - before
     assert edges <= 7500, edges
+
 
 def test_extremality_memory_stays_small():
     """A KT subject whose searches reach thousands of sequents per entailment
