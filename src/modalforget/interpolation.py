@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 from .calculus import Logic, critical_leaves, derivable, invertible_step, prove
 from .semantics import KripkeModel, countermodel, eval_formula
 from .syntax import (
-    _AND, _OR, Formula, Multiset, Sequent, TSequent,
+    _AND, _IMP, _NEG, _OR, Formula, Multiset, Sequent, TSequent,
     and_, big_or, bot, box, diamond, flats, imp, neg, or_, require_first_order,
     t_measure, top, var,
 )
@@ -245,18 +245,69 @@ def _candidates_up_to(weight_bound: int, names: Sequence[str],
     return by_weight
 
 
+def _parts(c: Formula, post: bool):
+    """``c`` read one connective down, for the entailment ``x ⊨ c`` (post
+    side) or ``c ⊨ x`` (pre side).
+
+    Returns ``(conjunctive, parts)``: the entailment holds exactly when it
+    holds for every part (``conjunctive``), or whenever it holds for some
+    part (not ``conjunctive``).  Post side, by De Morgan:
+
+    - all: ``l & r`` (l, r); ``~(l | r)`` (~l, ~r); ``~(l -> r)`` (l, ~r);
+      ``~~f`` (f);
+    - any: ``l | r`` (l, r); ``l -> r`` (~l, r); ``~(l & r)`` (~l, ~r).
+
+    The pre side swaps all and any, except for ``~~f``: ``c`` is equivalent
+    to ``f``.  Atoms, boxes and their negations
+    have no parts: ``(False, ())``.  Every part weighs less than ``c``.
+    """
+    tag = c.tag
+    if tag == _AND:
+        conjunctive, parts = True, (c.left, c.right)
+    elif tag == _OR:
+        conjunctive, parts = False, (c.left, c.right)
+    elif tag == _IMP:
+        conjunctive, parts = False, (neg(c.left), c.right)
+    elif tag == _NEG:
+        s = c.sub
+        if s.tag == _NEG:
+            return True, (s.sub,)
+        if s.tag == _AND:
+            conjunctive, parts = False, (neg(s.left), neg(s.right))
+        elif s.tag == _OR:
+            conjunctive, parts = True, (neg(s.left), neg(s.right))
+        elif s.tag == _IMP:
+            conjunctive, parts = True, (s.left, neg(s.right))
+        else:
+            return False, ()
+    else:
+        return False, ()
+    return conjunctive == post, parts
+
+
 def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> InterpolantReport:
     """Compute the interpolant and check the interpolation clauses.
 
     The extremality clause quantifies over all partner formulas; it is checked
     against every formula over the kept vocabulary of the subject (plus its
-    agents) up to the weight bound, by increasing weight, so both halves of a
-    binary candidate come first.  Three exact shortcuts save searches (post
-    side; the pre side reverses every entailment and swaps ``&`` and ``|``):
-    ``l & r`` is skipped, as its clause follows from those of ``l`` and ``r``;
-    ``l | r`` is entailed once ``l`` or ``r`` is known to be; and the
-    countermodel of a failed subject entailment refutes later ones, being
-    reflexive (KT) or serial (KD) for every agent a candidate can use.
+    agents) up to the weight bound, by increasing weight.  ``_parts`` reads
+    each candidate ``c`` one connective down, as all or any of at most two
+    lighter candidates, which were decided before it (post side ``x ⊨ c``;
+    the pre side reverses every entailment):
+
+    - an "all" candidate is skipped: ``x ⊨ c`` holds exactly when ``x``
+      entails each part, for the subject and the interpolant alike, so the
+      clause "subject ⊨ c implies interpolant ⊨ c" follows from the clauses
+      of the parts, by induction on weight.  ``c`` is known to be entailed
+      when every part is;
+    - an "any" candidate is entailed once one part is known to be; otherwise
+      it is decided as a candidate without parts is.
+
+    The table only skips clauses that follow from others and adds a
+    sufficient condition for an entailment, so every flag is the flag of the
+    brute-force loop.  A decided subject entailment is first refuted, when it
+    can be, by the countermodel of an earlier failed one, which is reflexive
+    (KT) or serial (KD) for every agent a candidate can use.
 
     The subject and the interpolant are each split once, by
     ``critical_leaves``, into the leaves of ``x =>`` (post side) or ``=> x``
@@ -302,13 +353,13 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
     leaves = {subject: split(subject), interp: split(interp)}
     names = sorted(subject.free_vars - set(problem.forget))
     agents = sorted({f.agent for f in subject.boxed_subformulas})
-    meet, join = (_AND, _OR) if post else (_OR, _AND)
     models: List[KripkeModel] = []  # the subject holds at each root (fails, pre side)
     by_subject, by_interp = set(), set()
 
-    def entails(x: Formula, known: set, c: Formula, memo: dict) -> bool:
-        """Whether ``x`` entails ``c``; ``known`` collects the candidates it does."""
-        if not (c.tag == join and (c.left in known or c.right in known)):
+    def entails(x: Formula, known: set, c: Formula, parts: tuple, memo: dict) -> bool:
+        """Whether ``x`` entails ``c``, an "any" candidate of ``parts`` or one
+        without parts; ``known`` collects the candidates it does."""
+        if not any(part in known for part in parts):
             if x is subject and any(eval_formula(m, m.root, c) != post for m in models):
                 return False
             if not all(derivable(logic, with_partner(t, c), memo) for t in leaves[x]):
@@ -322,11 +373,15 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
     extremality_ok = True
     for batch in _candidates_up_to(weight_bound, names, agents)[1:]:
         for c in batch:
-            if c.tag == meet:
+            conjunctive, parts = _parts(c, post)
+            if conjunctive:  # decided by its parts
+                for known in (by_subject, by_interp):
+                    if all(part in known for part in parts):
+                        known.add(c)
                 continue
             memo: dict = {}  # shared by the candidate's two entailments
-            if (entails(subject, by_subject, c, memo)
-                    and not entails(interp, by_interp, c, memo)):
+            if (entails(subject, by_subject, c, parts, memo)
+                    and not entails(interp, by_interp, c, parts, memo)):
                 extremality_ok = False
     return InterpolantReport(
         interpolant=interp,

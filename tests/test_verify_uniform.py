@@ -120,43 +120,74 @@ def test_countermodels_are_models_of_the_logic():
     assert models == 685  # 233 K, 233 KD, 219 KT
 
 
-def test_extremality_needs_at_most_half_the_prove_calls(monkeypatch):
-    """On criterion 9's first 30 problems (seed 105, bound 5) the shortcuts
-    leave at most half the ``prove`` calls of the brute-force loop."""
-    rng = random.Random(105)
-    problems = []
-    for _ in range(30):  # criterion 9 draws its K, pre-side problems first
-        subject = randgen.formula(rng, rng.randint(2, 7), names=("p", "q"),
-                                  agents=(1,), max_box_depth=2)
-        problems.append(InterpolationProblem(Logic.K, ("p",), subject, "pre"))
-    calls = [0]
-
-    def counting_prove(*args):
-        calls[0] += 1
-        return prove(*args)
-
-    monkeypatch.setattr(interpolation, "prove", counting_prove)
-    flags = [_flags(verify_uniform(p, 5)) for p in problems]
-    new, calls[0] = calls[0], 0
-    assert flags == [_reference_report(p, 5) for p in problems]
-    assert new <= calls[0] // 2, (new, calls[0])
-
-
-def test_extremality_audits_few_search_edges():
-    """On the same 30 problems the extremality check splits the subject and
-    the interpolant once each, rather than decomposing them again for every
-    candidate, so at most 7,500 search edges are audited in all."""
+def _criterion_9_head():
+    """Criterion 9's first 30 problems (seed 105, bound 5): it draws its K,
+    pre-side problems first."""
     rng = random.Random(105)
     problems = []
     for _ in range(30):
         subject = randgen.formula(rng, rng.randint(2, 7), names=("p", "q"),
                                   agents=(1,), max_box_depth=2)
         problems.append(InterpolationProblem(Logic.K, ("p",), subject, "pre"))
+    return problems
+
+
+def test_extremality_needs_an_eighth_of_the_searches(monkeypatch):
+    """On criterion 9's first 30 problems the shortcuts leave at most an
+    eighth of the brute-force loop's ``prove`` calls as ``prove`` calls plus
+    leaf searches."""
+    problems = _criterion_9_head()
+    calls = [0]
+
+    def counting(fn):
+        def counted(*args):
+            calls[0] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(interpolation, "prove", counting(prove))
+    monkeypatch.setattr(interpolation, "derivable", counting(calculus.derivable))
+    flags = [_flags(verify_uniform(p, 5)) for p in problems]
+    new, calls[0] = calls[0], 0
+    assert flags == [_reference_report(p, 5) for p in problems]
+    assert new <= calls[0] // 8, (new, calls[0])
+
+
+def test_extremality_audits_few_search_edges():
+    """On the same 30 problems the extremality check splits the subject and
+    the interpolant once each, rather than decomposing them again for every
+    candidate, and skips the candidates its parts decide, so at most 3,500
+    search edges are audited in all."""
     before = calculus.AUDIT["edges_checked"]
-    for problem in problems:
+    for problem in _criterion_9_head():
         assert verify_uniform(problem, 5).all_ok, problem
     edges = calculus.AUDIT["edges_checked"] - before
-    assert edges <= 7500, edges
+    assert edges <= 3500, edges
+
+
+@pytest.mark.parametrize("side", ["post", "pre"])
+def test_parts_table_is_exact(side):
+    """Every candidate up to weight 5 over ``q, r`` and agents 1, 2 has its
+    parts among the lighter candidates, and is equivalent in K to their
+    conjunction ("all", post side) or disjunction ("any", post side).  The
+    pre side decides ``c => x``, so there "all" reads as a disjunction."""
+    post = side == "post"
+    by_weight = interpolation._candidates_up_to(5, ("q", "r"), (1, 2))
+    weight_of = {c: w for w, batch in enumerate(by_weight) for c in batch}
+    assert len(weight_of) == 2577
+    read = 0  # candidates with parts
+    for c, w in weight_of.items():
+        conjunctive, parts = interpolation._parts(c, post)
+        if not parts:
+            assert not conjunctive, c
+            continue
+        read += 1
+        assert all(part in weight_of and weight_of[part] < w for part in parts), c
+        whole = parts[0] if len(parts) == 1 else (
+            and_ if conjunctive == post else or_)(*parts)
+        for a, b in ((c, whole), (whole, c)):
+            assert prove(Logic.K, Sequent(Multiset((a,)), Multiset((b,)))).derivable, (c, whole)
+    assert read == 1659, read
 
 
 def test_extremality_memory_stays_small():
