@@ -51,11 +51,12 @@ print()
 
 # verify_uniform checks the defining clauses: vocabulary, the main
 # implication, and extremality against every candidate partner formula over
-# the kept vocabulary up to a weight bound.  A candidate that is all of its
-# parts (l & r, ~(l | r), ~(l -> r), ~~f on this side) is settled by them; it
-# proves only the entailments that smaller candidates and kept countermodels
-# leave open, and searches them from the subject's and the interpolant's
-# critical leaves, split once.
+# the kept vocabulary up to a weight bound, once per class of equivalent
+# candidates (same truth table over the same atoms and boxes).  A class whose
+# representative is all of its parts (l & r, ~(l | r), ~(l -> r) on this
+# side) is settled by them; it proves only the entailments that smaller
+# classes and kept countermodels leave open, and searches them from the
+# subject's and the interpolant's critical leaves, split once.
 problem = InterpolationProblem(KT, ("p",), parse_formula("<1>(p & q)"), "post")
 report = verify_uniform(problem, weight_bound=5)
 print("KT <1>(p & q), forget p:", render(report.interpolant, "text"))

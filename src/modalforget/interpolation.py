@@ -34,9 +34,9 @@ from typing import Dict, List, Sequence, Tuple
 from .calculus import Logic, critical_leaves, derivable, invertible_step, prove
 from .semantics import KripkeModel, countermodel, eval_formula
 from .syntax import (
-    _AND, _IMP, _NEG, _OR, Formula, Multiset, Sequent, TSequent,
-    and_, big_or, bot, box, diamond, flats, imp, neg, or_, require_first_order,
-    t_measure, top, var,
+    _AND, _BINARY_TAGS, _BOX, _IMP, _NEG, _OR, _VAR, Formula, Multiset,
+    Sequent, TSequent, and_, big_or, bot, box, diamond, flats, imp, neg, or_,
+    require_first_order, t_measure, top, var,
 )
 
 AUDIT = {"table_calls_checked": 0}
@@ -223,26 +223,147 @@ class InterpolantReport:
         return self.vocab_ok and self.implication_ok and self.extremality_ok
 
 
-def _candidates_up_to(weight_bound: int, names: Sequence[str],
-                      agents: Sequence[int]):
-    """All candidate partner formulas over the vocabulary, by weight 1..weight_bound."""
-    by_weight: List[List[Formula]] = [[] for _ in range(weight_bound + 1)]
-    by_weight[1] = [bot()] + [var(n) for n in names]
-    for w in range(2, weight_bound + 1):
-        batch: List[Formula] = []
-        for f in by_weight[w - 1]:
-            batch.append(neg(f))
-            for agent in agents:
-                batch.append(box(agent, f))
-        for wl in range(1, w - 1):
-            wr = w - 1 - wl
-            for l in by_weight[wl]:
-                for r in by_weight[wr]:
-                    batch.append(and_(l, r))
-                    batch.append(or_(l, r))
-                    batch.append(imp(l, r))
-        by_weight[w] = batch
-    return by_weight
+def _full(n: int) -> int:
+    """The truth table over ``n`` atoms that is true everywhere."""
+    return (1 << (1 << n)) - 1
+
+
+def _negate(sig: tuple) -> tuple:
+    atoms, table = sig
+    return atoms, table ^ _full(len(atoms))
+
+
+_BUILD = (and_, or_, imp)  # the constructors of _BINARY_TAGS, in order
+
+
+def _bit(table: int, i: int) -> int:
+    return (table >> i) & 1
+
+
+class _Classes:
+    """The candidate partner formulas up to weight ``weight_bound`` over
+    ``names`` and ``agents``, up to propositional equivalence.
+
+    A formula's signature is its set of essential atoms and its truth table
+    over them.  The atoms are the variables and the boxes ``[a]B``, keyed by
+    ``a`` and the signature of ``B``; each atom is numbered when first met,
+    a signature lists its atoms by number, and bit ``i`` of its table is the
+    value under the assignment whose bit ``j`` gives its ``j``-th atom.
+    Atoms the table does not depend on are dropped, so ``q | ~q`` and
+    ``~false`` share one signature.
+
+    ``by_weight[w]`` holds the lightest representative of each class first
+    reached at weight ``w``: ``bot`` and the variables at weight 1; then
+    ``~K`` and ``[a]K`` for each class ``K`` of weight ``w - 1``, followed by
+    ``l & r``, ``l | r`` and ``l -> r`` for each pair of classes whose
+    weights sum to ``w - 1``, keeping only unseen signatures.  A compound
+    formula's signature depends only on its children's, so by induction on
+    weight every candidate's class is reached at or below the candidate's
+    own weight; and each representative, built from the same vocabulary, is
+    itself a candidate.  Everything is built in lists and insertion-ordered
+    dicts, so the representatives and their order do not depend on hashing.
+    """
+
+    def __init__(self, weight_bound: int, names: Sequence[str],
+                 agents: Sequence[int]):
+        self._atoms: Dict[object, int] = {}  # a name, or (agent, signature)
+        self.sig: Dict[Formula, tuple] = {}
+        self.rep: Dict[tuple, Formula] = {}
+        self._expanded: Dict[tuple, int] = {}
+        self._reduced: Dict[tuple, tuple] = {}
+        by_weight: List[List[Formula]] = [[] for _ in range(weight_bound + 1)]
+        self.by_weight = by_weight
+        for f in [bot()] + [var(n) for n in names]:
+            self._keep(by_weight[1], self.signature(f), f)
+        for w in range(2, weight_bound + 1):
+            batch, rep = by_weight[w], self.rep
+            for f in by_weight[w - 1]:
+                s = self.sig[f]
+                t = _negate(s)
+                if t not in rep:
+                    self._keep(batch, t, neg(f))
+                for agent in agents:
+                    t = self._atom((agent, s))
+                    if t not in rep:
+                        self._keep(batch, t, box(agent, f))
+            for wl in range(1, w - 1):
+                for l in by_weight[wl]:
+                    sl = self.sig[l]
+                    for r in by_weight[w - 1 - wl]:
+                        for build, t in zip(_BUILD, self._binary(sl, self.sig[r])):
+                            if t not in rep:
+                                self._keep(batch, t, build(l, r))
+
+    def _keep(self, batch: List[Formula], sig: tuple, f: Formula) -> None:
+        self.rep[sig] = f
+        self.sig[f] = sig
+        batch.append(f)
+
+    def signature(self, f: Formula) -> tuple:
+        """The signature of ``f``, a formula over the vocabulary."""
+        s = self.sig.get(f)
+        if s is None:
+            tag = f.tag
+            if f is _BOT:
+                s = ((), 0)
+            elif tag == _VAR:
+                s = self._atom(f.name)
+            elif tag == _NEG:
+                s = _negate(self.signature(f.sub))
+            elif tag == _BOX:
+                s = self._atom((f.agent, self.signature(f.sub)))
+            else:
+                sigs = self._binary(self.signature(f.left), self.signature(f.right))
+                s = sigs[_BINARY_TAGS.index(tag)]
+            self.sig[f] = s
+        return s
+
+    def _atom(self, key) -> tuple:
+        return (self._atoms.setdefault(key, len(self._atoms)),), 0b10
+
+    def _binary(self, s: tuple, t: tuple) -> tuple:
+        """The signatures of ``l & r``, ``l | r`` and ``l -> r``, where ``l``
+        has signature ``s`` and ``r`` has ``t``."""
+        (a, x), (b, y) = s, t
+        u = a
+        if a != b:
+            u = tuple(sorted(set(a).union(b)))
+            x, y = self._expand(a, x, u), self._expand(b, y, u)
+        tables = (x & y, x | y, (x ^ _full(len(u))) | y)
+        return tuple(self._reduce(u, z) for z in tables)
+
+    def _expand(self, atoms: tuple, table: int, union: tuple) -> int:
+        """``table`` over ``atoms`` read as a table over ``union``."""
+        key = (atoms, table, union)
+        out = self._expanded.get(key)
+        if out is None:
+            where = [union.index(a) for a in atoms]
+            out = 0
+            for i in range(1 << len(union)):
+                j = sum(_bit(i, p) << k for k, p in enumerate(where))
+                out |= _bit(table, j) << i
+            self._expanded[key] = out
+        return out
+
+    def _reduce(self, atoms: tuple, table: int) -> tuple:
+        """The signature of ``table`` over ``atoms``: inessential atoms dropped."""
+        key = (atoms, table)
+        sig = self._reduced.get(key)
+        if sig is None:
+            k = 0
+            while k < len(atoms):
+                low = (1 << k) - 1
+                halves = [0, 0]  # the table with atom k false, and true
+                for i in range(1 << (len(atoms) - 1)):
+                    j = (i & ~low) << 1 | (i & low)
+                    halves[0] |= _bit(table, j) << i
+                    halves[1] |= _bit(table, j | 1 << k) << i
+                if halves[0] == halves[1]:
+                    atoms, table = atoms[:k] + atoms[k + 1:], halves[0]
+                else:
+                    k += 1
+            sig = self._reduced[key] = (atoms, table)
+        return sig
 
 
 def _parts(c: Formula, post: bool):
@@ -290,24 +411,35 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
 
     The extremality clause quantifies over all partner formulas; it is checked
     against every formula over the kept vocabulary of the subject (plus its
-    agents) up to the weight bound, by increasing weight.  ``_parts`` reads
-    each candidate ``c`` one connective down, as all or any of at most two
-    lighter candidates, which were decided before it (post side ``x ⊨ c``;
-    the pre side reverses every entailment):
+    agents) up to the weight bound, one class of equivalent candidates at a
+    time.  ``_Classes`` enumerates the classes by minimal weight: two
+    candidates share a class when they have the same signature, the same
+    truth table over the same essential atoms (variables, and boxes keyed by
+    agent and the body's signature).  Equal signatures mean equivalence in K
+    (propositional reasoning plus the congruence of ``[a]``, from
+    necessitation and axiom K), hence in KD and KT, so equivalent candidates
+    have the same entailments: the clause holds for every candidate exactly
+    when it holds for each class's representative, which is a candidate.
+    Each class is decided once, from its lightest representative.
 
-    - an "all" candidate is skipped: ``x ⊨ c`` holds exactly when ``x``
-      entails each part, for the subject and the interpolant alike, so the
-      clause "subject ⊨ c implies interpolant ⊨ c" follows from the clauses
-      of the parts, by induction on weight.  ``c`` is known to be entailed
+    ``_parts`` reads a representative ``c`` one connective down, as all or
+    any of at most two lighter formulas, whose classes were decided before
+    it (post side ``x ⊨ c``; the pre side reverses every entailment):
+
+    - an "all" class is skipped: ``x ⊨ c`` holds exactly when ``x`` entails
+      each part, for the subject and the interpolant alike, so the clause
+      "subject ⊨ c implies interpolant ⊨ c" follows from the clauses of the
+      parts' classes, by induction on weight.  ``c`` is known to be entailed
       when every part is;
-    - an "any" candidate is entailed once one part is known to be; otherwise
-      it is decided as a candidate without parts is.
+    - an "any" class is entailed once one part is known to be; otherwise it
+      is decided as a class without parts is.
 
-    The table only skips clauses that follow from others and adds a
-    sufficient condition for an entailment, so every flag is the flag of the
-    brute-force loop.  A decided subject entailment is first refuted, when it
-    can be, by the countermodel of an earlier failed one, which is reflexive
-    (KT) or serial (KD) for every agent a candidate can use.
+    Classes and the table only skip clauses that follow from others and add
+    a sufficient condition for an entailment, so every flag is the flag of
+    the brute-force loop over all candidates.  A decided subject entailment
+    is first refuted, when it can be, by the countermodel of an earlier
+    failed one, which is reflexive (KT) or serial (KD) for every agent a
+    candidate can use.
 
     The subject and the interpolant are each split once, by
     ``critical_leaves``, into the leaves of ``x =>`` (post side) or ``=> x``
@@ -322,7 +454,7 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
 
     The search relies on the same two facts when it applies these rules
     without backtracking.  One search memo serves both entailments of a
-    candidate and is dropped with it.
+    class and is dropped with it.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be at least 1")
@@ -354,11 +486,13 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
     names = sorted(subject.free_vars - set(problem.forget))
     agents = sorted({f.agent for f in subject.boxed_subformulas})
     models: List[KripkeModel] = []  # the subject holds at each root (fails, pre side)
-    by_subject, by_interp = set(), set()
+    classes = _Classes(weight_bound, names, agents)
+    by_subject, by_interp = set(), set()  # signatures of the classes entailed
 
     def entails(x: Formula, known: set, c: Formula, parts: tuple, memo: dict) -> bool:
-        """Whether ``x`` entails ``c``, an "any" candidate of ``parts`` or one
-        without parts; ``known`` collects the candidates it does."""
+        """Whether ``x`` entails ``c``, an "any" candidate of ``parts`` (their
+        signatures) or one without parts; ``known`` collects the signatures
+        of the classes it does."""
         if not any(part in known for part in parts):
             if x is subject and any(eval_formula(m, m.root, c) != post for m in models):
                 return False
@@ -367,19 +501,20 @@ def verify_uniform(problem: InterpolationProblem, weight_bound: int) -> Interpol
                 if model is not None and eval_formula(model, model.root, subject) == post:
                     models.append(model)
                 return False
-        known.add(c)
+        known.add(classes.sig[c])
         return True
 
     extremality_ok = True
-    for batch in _candidates_up_to(weight_bound, names, agents)[1:]:
+    for batch in classes.by_weight[1:]:
         for c in batch:
             conjunctive, parts = _parts(c, post)
+            parts = tuple(classes.signature(part) for part in parts)
             if conjunctive:  # decided by its parts
                 for known in (by_subject, by_interp):
                     if all(part in known for part in parts):
-                        known.add(c)
+                        known.add(classes.sig[c])
                 continue
-            memo: dict = {}  # shared by the candidate's two entailments
+            memo: dict = {}  # shared by the class's two entailments
             if (entails(subject, by_subject, c, parts, memo)
                     and not entails(interp, by_interp, c, parts, memo)):
                 extremality_ok = False

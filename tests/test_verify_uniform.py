@@ -2,10 +2,11 @@
 
 ``_reference_report`` is the extremality check as a plain loop: one ``prove``
 call per entailment, over every candidate partner formula up to the weight
-bound.  ``verify_uniform`` must report exactly its flags, on true
-interpolants and on mutants that break the defining clauses, and the
-countermodels it reuses must be models of the logic that falsify their
-sequent.
+bound, as ``_candidates_up_to`` enumerates them.  ``verify_uniform`` must
+report exactly its flags, on true interpolants and on mutants that break the
+defining clauses; the classes it decides must cover every candidate, each by
+an equivalent representative; and the countermodels it reuses must be models
+of the logic that falsify their sequent.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 import randgen
 from modalforget import (
     InterpolationProblem, Logic, Multiset, Sequent, and_, bot, box, calculus,
-    countermodel, eval_formula, interpolation, neg, or_, prove, top, var,
+    countermodel, eval_formula, imp, interpolation, neg, or_, prove, top, var,
     verify_uniform,
 )
 from test_golden import _corpus as golden_corpus
@@ -35,6 +36,24 @@ MUTANTS = {
 }
 
 
+def _candidates_up_to(weight_bound, names, agents):
+    """All candidate partner formulas over the vocabulary, by weight 1..weight_bound."""
+    by_weight = [[] for _ in range(weight_bound + 1)]
+    by_weight[1] = [bot()] + [var(n) for n in names]
+    for w in range(2, weight_bound + 1):
+        batch = []
+        for f in by_weight[w - 1]:
+            batch.append(neg(f))
+            for agent in agents:
+                batch.append(box(agent, f))
+        for wl in range(1, w - 1):
+            for l in by_weight[wl]:
+                for r in by_weight[w - 1 - wl]:
+                    batch += [and_(l, r), or_(l, r), imp(l, r)]
+        by_weight[w] = batch
+    return by_weight
+
+
 def _reference_report(problem, weight_bound):
     """The flags of ``problem`` by brute force: (vocab, implication, extremality)."""
     logic, subject, post = problem.logic, problem.subject, problem.side == "post"
@@ -51,7 +70,7 @@ def _reference_report(problem, weight_bound):
     names = sorted(subject.free_vars - set(problem.forget))
     agents = sorted({f.agent for f in subject.boxed_subformulas})
     extremality_ok = True
-    for batch in interpolation._candidates_up_to(weight_bound, names, agents)[1:]:
+    for batch in _candidates_up_to(weight_bound, names, agents)[1:]:
         for c in batch:
             if entails(subject, c) and not entails(interp, c):
                 extremality_ok = False
@@ -132,10 +151,10 @@ def _criterion_9_head():
     return problems
 
 
-def test_extremality_needs_an_eighth_of_the_searches(monkeypatch):
-    """On criterion 9's first 30 problems the shortcuts leave at most an
-    eighth of the brute-force loop's ``prove`` calls as ``prove`` calls plus
-    leaf searches."""
+def test_extremality_needs_a_thirtieth_of_the_searches(monkeypatch):
+    """On criterion 9's first 30 problems the classes and the shortcuts leave
+    at most a thirtieth of the brute-force loop's ``prove`` calls as
+    ``prove`` calls plus leaf searches."""
     problems = _criterion_9_head()
     calls = [0]
 
@@ -150,7 +169,7 @@ def test_extremality_needs_an_eighth_of_the_searches(monkeypatch):
     flags = [_flags(verify_uniform(p, 5)) for p in problems]
     new, calls[0] = calls[0], 0
     assert flags == [_reference_report(p, 5) for p in problems]
-    assert new <= calls[0] // 8, (new, calls[0])
+    assert new <= calls[0] // 30, (new, calls[0])
 
 
 def test_extremality_audits_few_search_edges():
@@ -162,7 +181,33 @@ def test_extremality_audits_few_search_edges():
     for problem in _criterion_9_head():
         assert verify_uniform(problem, 5).all_ok, problem
     edges = calculus.AUDIT["edges_checked"] - before
-    assert edges <= 3500, edges
+    assert edges <= 1000, edges
+
+
+def _candidate_weights():
+    """Every candidate up to weight 5 over ``q, r`` and agents 1, 2, with its weight."""
+    by_weight = _candidates_up_to(5, ("q", "r"), (1, 2))
+    return {c: w for w, batch in enumerate(by_weight) for c in batch}
+
+
+def _equivalent_in_k(a, b):
+    return all(prove(Logic.K, Sequent(Multiset((x,)), Multiset((y,)))).derivable
+               for x, y in ((a, b), (b, a)))
+
+
+def test_classes_are_sound_and_complete():
+    """Each of the 2,577 candidates up to weight 5 over ``q, r`` and agents
+    1, 2 has its signature among the classes enumerated at or below its own
+    weight (complete), and is equivalent in K to that class's representative
+    (sound): deciding one representative per class decides every candidate."""
+    classes = interpolation._Classes(5, ("q", "r"), (1, 2))
+    class_weight = {classes.sig[rep]: w
+                    for w, batch in enumerate(classes.by_weight) for rep in batch}
+    assert len(class_weight) == 726
+    for c, w in _candidate_weights().items():
+        sig = classes.signature(c)
+        assert class_weight.get(sig, w + 1) <= w, c
+        assert _equivalent_in_k(c, classes.rep[sig]), (c, classes.rep[sig])
 
 
 @pytest.mark.parametrize("side", ["post", "pre"])
@@ -172,8 +217,7 @@ def test_parts_table_is_exact(side):
     conjunction ("all", post side) or disjunction ("any", post side).  The
     pre side decides ``c => x``, so there "all" reads as a disjunction."""
     post = side == "post"
-    by_weight = interpolation._candidates_up_to(5, ("q", "r"), (1, 2))
-    weight_of = {c: w for w, batch in enumerate(by_weight) for c in batch}
+    weight_of = _candidate_weights()
     assert len(weight_of) == 2577
     read = 0  # candidates with parts
     for c, w in weight_of.items():
@@ -185,8 +229,7 @@ def test_parts_table_is_exact(side):
         assert all(part in weight_of and weight_of[part] < w for part in parts), c
         whole = parts[0] if len(parts) == 1 else (
             and_ if conjunctive == post else or_)(*parts)
-        for a, b in ((c, whole), (whole, c)):
-            assert prove(Logic.K, Sequent(Multiset((a,)), Multiset((b,)))).derivable, (c, whole)
+        assert _equivalent_in_k(c, whole), (c, whole)
     assert read == 1659, read
 
 
